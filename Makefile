@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race check-race bench-quick bench-json bench-ratchet shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short
+.PHONY: check build vet test race check-race bench-quick bench-json bench-ratchet shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # shard-oracle re-proves worker-count determinism on the write-back workloads,
@@ -9,14 +9,14 @@ GO ?= go
 # working-set estimates and arbiter decisions are invariant across worker
 # counts and VM interleavings, cluster-oracle re-proves the no-page-lost
 # contract of the multi-node pool under randomized membership/failure
-# schedules, parallel-oracle re-proves serial-vs-parallel parity of the
-# multi-goroutine data plane under the race detector, openloop-oracle
+# schedules, market-oracle re-proves that market plans and SLO verdicts are
+# invariant across worker counts and interleavings, openloop-oracle
 # re-proves that open-loop scenario replays are bitwise repeatable and
-# invariant across fault-pipeline worker counts, fuzz-short gives the
-# model checkers a short adversarial pass,
-# and bench-ratchet re-measures every directional metric row of the committed
-# BENCH_*.json artifacts and fails on a >10% regression.
-check: vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short bench-ratchet
+# invariant across fault-pipeline worker counts, fuzz-short gives the model
+# checkers a short adversarial pass, and bench-ratchet re-measures every
+# directional metric row of the committed BENCH_*.json artifacts and fails
+# on a >10% regression.
+check: vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short bench-ratchet
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,7 @@ bench-quick:
 # Regenerate the machine-readable BENCH_*.json artifacts at full scale. The
 # "artifacts" meta-name expands inside fluidmem-bench to every experiment the
 # registry marks as carrying a committed baseline (see `fluidmem-bench -list`:
-# currently writeback, trace, arbiter, cluster, parallel, market, openloop) —
+# currently writeback, trace, arbiter, cluster, market, openloop) —
 # enrolling a new artifact experiment is one registry flag, with no Makefile
 # edit to forget. fluidmem-bench fails loudly if any selected experiment
 # stops producing its artifact, and each result's Validate() vetoes vacuous
@@ -85,8 +85,8 @@ arbiter-oracle:
 # identical across worker counts (shardtest outcomes carry MarketPlanDigest),
 # host-level market decisions — including the SLO window evaluations feeding
 # them — must be invariant across VM interleavings and worker counts, and
-# the SLO evaluation itself must be partition-invariant, including under the
-# concurrent parallel engine.
+# the SLO evaluation itself — verdicts and windowed histogram deltas — must
+# be invariant to how observations are partitioned across worker cells.
 market-oracle:
 	$(GO) test ./internal/core/shardtest/ -count=1 -run 'TestWorkerCountEquivalence|TestSeedsDiverge'
 	$(GO) test . -count=1 -run 'TestHostMarketWorkerCountInvariance|TestHostMarketInterleavingInvariance'
@@ -99,22 +99,11 @@ market-oracle:
 cluster-oracle:
 	$(GO) test ./internal/kvstore/cluster/... -count=1 -run 'TestOracle'
 
-# The serial-vs-parallel parity oracle: the multi-goroutine engine must
-# reproduce the single-thread monitor's logical end state exactly — per-shard
-# delivered-data and trace digests, resident set, epoch, and all counters —
-# on every shardtest workload, at several shard counts, repeatably across
-# GOMAXPROCS. Run under -race so the proof also covers the memory model.
-parallel-oracle:
-	$(GO) test ./internal/core/paralleltest/ -count=1 -race
-	$(GO) test ./internal/core/ -count=1 -race -run 'TestSPSC|TestParallel'
-
 # The open-loop traffic determinism oracle: same-seed scenario replays must
 # be bitwise repeatable and the full report — offered load, goodput, sojourn
 # histograms, queue depths, planner epochs, logical trace digests — invariant
 # across fault-pipeline worker counts {1,2,4,8}, for every scenario × planner
 # cell; and the arrival schedules themselves must be split/merge-invariant.
-# (The churn-vs-core.NewParallel race leg of scenariotest runs under -race
-# via check-race.)
 openloop-oracle:
 	$(GO) test ./internal/loadgen/scenariotest/ -count=1
 	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun'

@@ -2,6 +2,9 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -51,18 +54,25 @@ func TestExperimentNamesUnique(t *testing.T) {
 	}
 	// "artifacts" is a reserved meta-name expanding to the registry's
 	// artifact-bearing experiments — it must not collide with a real one,
-	// and the expansion must cover every committed BENCH_*.json producer.
+	// and the expansion must be exactly the committed BENCH_*.json files at
+	// the repo root: a baseline without a producer, or a producer without a
+	// baseline, fails here.
 	if seen["artifacts"] {
 		t.Fatal(`an experiment is literally named "artifacts"`)
 	}
-	arts := make(map[string]bool)
-	for _, name := range artifactNames() {
-		arts[name] = true
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"writeback", "trace", "arbiter", "cluster", "parallel", "market", "openloop"} {
-		if !arts[want] {
-			t.Fatalf("artifact experiment %q missing from registry expansion %v", want, artifactNames())
-		}
+	var committed []string
+	for _, f := range files {
+		committed = append(committed, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"))
+	}
+	arts := artifactNames()
+	slices.Sort(committed)
+	slices.Sort(arts)
+	if !slices.Equal(arts, committed) {
+		t.Fatalf("artifact experiments %v != committed baselines %v", arts, committed)
 	}
 }
 

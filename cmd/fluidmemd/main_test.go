@@ -61,7 +61,4 @@ func TestMarketFlagValidation(t *testing.T) {
 	if err := run([]string{"-vms", "2", "-market", "-arbiter"}); err == nil {
 		t.Fatal("-market with -arbiter accepted")
 	}
-	if err := run([]string{"-parallel", "-market"}); err == nil {
-		t.Fatal("-parallel with -market accepted")
-	}
 }

@@ -1,10 +1,8 @@
 // Command hotpath-probe measures wall-clock fault throughput and heap
 // allocations of the monitor's miss+evict+writeback hot path via the public
 // API only, so the same source runs against older trees for before/after
-// comparisons (see EXPERIMENTS.md). -parallel switches the loop from the
-// single-thread virtual-time monitor to the multi-goroutine engine, and the
-// -cpuprofile/-memprofile/-mutexprofile flags attribute where the time and
-// bytes go.
+// comparisons (see EXPERIMENTS.md). The -cpuprofile/-memprofile/
+// -mutexprofile flags attribute where the time and bytes go.
 package main
 
 import (
@@ -20,22 +18,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hotpath-probe:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("hotpath-probe", flag.ContinueOnError)
 	var (
-		parallel = flag.Bool("parallel", false, "drive the multi-goroutine engine instead of the virtual-time monitor")
-		workers  = flag.Int("workers", 4, "pipeline width (serial) / executor-shard count (parallel)")
-		faults   = flag.Int("faults", 2_000_000, "measured fault count")
-		cpuOut   = flag.String("cpuprofile", "", "write a CPU profile of the measured phase to this file")
-		memOut   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		mutexOut = flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
+		workers  = fs.Int("workers", 4, "fault-pipeline width (>= 1)")
+		faults   = fs.Int("faults", 2_000_000, "measured fault count (>= 1)")
+		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the measured phase to this file")
+		memOut   = fs.String("memprofile", "", "write an allocation profile to this file at exit")
+		mutexOut = fs.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers %d: need at least 1", *workers)
+	}
+	if *faults < 1 {
+		return fmt.Errorf("-faults %d: need at least 1", *faults)
+	}
 
 	const base = 0x7f00_0000_0000
 	const pages = 512
@@ -44,42 +50,21 @@ func run() (err error) {
 	store := ramcloud.New(ramcloud.DefaultParams(), 9)
 	cfg := core.DefaultConfig(store, capacity)
 	cfg.Workers = *workers
-
-	// touch runs one dirty fault; close drains whatever the engine still owes.
-	var touch func() error
-	close := func() error { return nil }
+	m, err := core.NewMonitor(cfg, nil, "probe")
+	if err != nil {
+		return err
+	}
+	if _, err := m.RegisterRange(base, pages*core.PageSize, 1); err != nil {
+		return err
+	}
+	// touch runs one dirty fault.
+	var now time.Duration
 	i := 0
-	if *parallel {
-		var sink uint64
-		p, perr := core.NewParallel(cfg, nil, "probe",
-			func(shard int, ticket, addr uint64, data []byte) { sink += uint64(len(data)) })
-		if perr != nil {
-			return perr
-		}
-		if rerr := p.RegisterRange(base, pages*core.PageSize, 1); rerr != nil {
-			return rerr
-		}
-		touch = func() error {
-			terr := p.Touch(base+uint64(i%pages)*core.PageSize, true)
-			i++
-			return terr
-		}
-		close = p.Close
-	} else {
-		m, merr := core.NewMonitor(cfg, nil, "probe")
-		if merr != nil {
-			return merr
-		}
-		if _, rerr := m.RegisterRange(base, pages*core.PageSize, 1); rerr != nil {
-			return rerr
-		}
-		var now time.Duration
-		touch = func() error {
-			_, done, terr := m.Touch(now, base+uint64(i%pages)*core.PageSize, true)
-			now = done
-			i++
-			return terr
-		}
+	touch := func() error {
+		_, done, terr := m.Touch(now, base+uint64(i%pages)*core.PageSize, true)
+		now = done
+		i++
+		return terr
 	}
 
 	for k := 0; k < 3*pages; k++ { // warm to steady state
@@ -107,17 +92,10 @@ func run() (err error) {
 			return err
 		}
 	}
-	if err := close(); err != nil { // parallel: include the executors' tail
-		return err
-	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	mode := "serial"
-	if *parallel {
-		mode = "parallel"
-	}
-	fmt.Printf("mode=%s workers=%d faults=%d wall=%v wall_faults_per_sec=%.0f allocs_per_fault=%.3f bytes_per_fault=%.1f\n",
-		mode, *workers, *faults, wall.Round(time.Millisecond), float64(*faults)/wall.Seconds(),
+	fmt.Printf("workers=%d faults=%d wall=%v wall_faults_per_sec=%.0f allocs_per_fault=%.3f bytes_per_fault=%.1f\n",
+		*workers, *faults, wall.Round(time.Millisecond), float64(*faults)/wall.Seconds(),
 		float64(after.Mallocs-before.Mallocs)/float64(*faults),
 		float64(after.TotalAlloc-before.TotalAlloc)/float64(*faults))
 	return nil

@@ -21,6 +21,7 @@ import (
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/cluster"
 	"fluidmem/internal/kvstore/dram"
+	"fluidmem/internal/kvstore/ramcloud"
 	"fluidmem/internal/kvstore/replicated"
 )
 
@@ -147,5 +148,57 @@ func TestFirstTouchAllocsBounded(t *testing.T) {
 	// not for any per-fault allocation sneaking back in.
 	if avg > 2 {
 		t.Fatalf("first-touch fault allocates %.2f/fault, want <= 2", avg)
+	}
+}
+
+// TestSerialReferenceLoopPinned pins the virtual-time result of the
+// harness's reference loop at its published scale: 512 pages over a
+// 256-page LRU on RAMCloud, every touch dirty, 4 workers, warmed with three
+// scans and then measured over 400 000 touches. Every measured touch is a
+// store miss behind a dirty eviction, so the fault count and the virtual
+// elapsed time fold in the whole miss+evict+writeback path; both are exact
+// per seed and must not move under a change meant only to speed up the
+// simulator.
+func TestSerialReferenceLoopPinned(t *testing.T) {
+	const (
+		seed    = 1
+		pages   = 512
+		ops     = 400_000
+		base    = 0x7e00_0000_0000
+		faults  = 400_000
+		elapsed = 13026999269 * time.Nanosecond
+	)
+	cfg := DefaultConfig(ramcloud.New(ramcloud.DefaultParams(), seed+9), pages/2)
+	cfg.Workers = 4
+	cfg.Seed = seed
+	m, err := NewMonitor(cfg, nil, "hyp-reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterRange(base, pages*PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	var now time.Duration
+	i := 0
+	touch := func() {
+		_, done, err := m.Touch(now, base+uint64(i%pages)*PageSize, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		i++
+	}
+	for k := 0; k < 3*pages; k++ {
+		touch()
+	}
+	faultsBefore, start := m.Stats().Faults, now
+	for k := 0; k < ops; k++ {
+		touch()
+	}
+	if got := m.Stats().Faults - faultsBefore; got != faults {
+		t.Errorf("measured faults = %d, want %d", got, faults)
+	}
+	if got := now - start; got != elapsed {
+		t.Errorf("virtual elapsed = %d ns, want %d ns", got, elapsed)
 	}
 }

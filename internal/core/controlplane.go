@@ -3,9 +3,8 @@ package core
 // This file is the monitor's control plane: registration, teardown,
 // resize, drain, stats capture, and the introspection surface. Everything
 // here is slow-path — it may allocate, scan regions, and rebuild maps
-// freely. It talks to the data plane either synchronously (same goroutine,
-// between faults) or through the intake ring (see intake.go) when called
-// from another thread.
+// freely. Like the data plane it runs on the monitor's single goroutine,
+// between faults, so neither half needs locks or atomics.
 
 import (
 	"fmt"
@@ -125,8 +124,7 @@ func (m *Monitor) Discard(addr uint64) {
 // Resize changes the LRU capacity at runtime (§III: "the local memory buffer
 // can be actively sized up or down"). Shrinking evicts immediately; the
 // returned time covers the eviction work. This is the mechanism behind
-// Table III's near-zero footprints. Resize must run on the simulation
-// thread; other goroutines use PostResize (intake.go) instead.
+// Table III's near-zero footprints.
 func (m *Monitor) Resize(now time.Duration, capacity int) (time.Duration, error) {
 	if capacity < 1 {
 		return now, fmt.Errorf("%w: LRU capacity %d < 1", ErrBadConfig, capacity)

@@ -4,7 +4,7 @@ package core
 // decode through shard dispatch, LRU touch, store read, and write-list
 // append. Steady state it is allocation-free and lock-free — see DESIGN.md
 // §14 for the rules on what may allocate where. Slow-path work lives in
-// controlplane.go and reaches this side only through the intake ring.
+// controlplane.go and runs on the same goroutine, between faults.
 
 import (
 	"errors"
@@ -59,11 +59,8 @@ func (m *Monitor) traceFault(ev uffd.Event, start, resume time.Duration, path st
 }
 
 // Touch implements vm.Backing: a guest access to addr. Resident pages return
-// immediately; missing pages take the full monitor fault path. Queued
-// control-plane commands are drained first — the fault boundary is the
-// data plane's only synchronisation point with the control plane.
+// immediately; missing pages take the full monitor fault path.
 func (m *Monitor) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
-	m.drainIntake(now)
 	data, done, hit, err := m.fd.Access(now, addr, write)
 	if err != nil {
 		return nil, done, err

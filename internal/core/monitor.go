@@ -84,8 +84,12 @@ type Stats struct {
 //     the nil-tracer / nil-hotset fast paths cost nothing.
 //   - The control plane (controlplane.go) is everything slow or rare —
 //     registration, teardown, resize, drain, stats capture — and may
-//     allocate freely. Control threads talk to the data plane through the
-//     lock-free intake ring (intake.go), drained at fault boundaries.
+//     allocate freely.
+//
+// A Monitor is single-goroutine by contract: the data and control planes
+// run on the caller's goroutine, one call at a time, and no method is safe
+// for concurrent use. Worker parallelism is modelled in virtual time, not
+// run on real threads.
 type Monitor struct {
 	cfg  Config
 	fd   *uffd.FD
@@ -125,9 +129,7 @@ type Monitor struct {
 	// fault-handling policy layer; it exposes health and counters.
 	resilient *resilience.Store
 
-	// intake is the control plane's async command queue (see intake.go);
 	// scratch holds the data plane's reusable buffers (see arena.go).
-	intake  *intakeRing
 	scratch dataArena
 
 	epoch uint64
@@ -205,7 +207,6 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		lru:          newShardedLRUCap(workers, cfg.LRUCapacity),
 		seen:         newSeenSet(),
 		wb:           newShardedWriteback(cfg.Store, cfg.WriteBatchSize, workers, cfg.Trace),
-		intake:       newIntakeRing(intakeCapacity),
 		registry:     registry,
 		hypervisorID: hypervisorID,
 		partitions:   make(map[int]kvstore.PartitionID),

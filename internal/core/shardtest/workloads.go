@@ -10,10 +10,8 @@ import (
 // Workloads spans the monitor's major configuration axes: remote vs local
 // backend, async vs sync write paths, pipelined vs batched prefetching, and
 // churn (discard + resize). Each is a distinct way worker sharding could
-// leak into logical behaviour. The table is exported because two oracles
-// consume it: the worker-count equivalence tests in this package, and the
-// serial-vs-parallel parity oracle in core/paralleltest, which replays the
-// same behaviours against the multi-goroutine engine.
+// leak into logical behaviour. The worker-count equivalence tests in this
+// package replay every entry.
 func Workloads() []Workload {
 	return []Workload{
 		{

@@ -1,13 +1,9 @@
 package market_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"fluidmem/internal/core"
-	"fluidmem/internal/core/paralleltest"
-	"fluidmem/internal/core/shardtest"
 	"fluidmem/internal/market"
 	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
@@ -90,108 +86,63 @@ func TestEvaluateSLOWorkerPartitionInvariance(t *testing.T) {
 	}
 }
 
+// phaseWindow summarises one epoch window of the fault-phase histogram:
+// the quantities the host's SLO accounting reads off a windowed
+// PhaseHistogram delta.
+type phaseWindow struct {
+	Count         uint64
+	P50, P99, Max time.Duration
+	Mean          time.Duration
+}
+
 // The same invariance through the real tracer plumbing: per-worker
 // Tracer.Observe cells merged by PhaseHistogram give the same windowed
 // verdict regardless of worker partitioning, including across epoch
-// boundaries (cumulative snapshot + Sub).
+// boundaries (cumulative snapshot + Sub). The stats.Histogram.Sub window
+// itself — count, percentiles, carried max, mean — must match too:
+// repartitioning observations across worker cells can never move latency
+// between epoch windows.
 func TestEvaluateSLOTracerWindows(t *testing.T) {
 	target := 2 * time.Millisecond
-	run := func(workers int) []market.SLOVerdict {
+	const n, every = 3000, 1000
+	run := func(workers int) ([]market.SLOVerdict, []phaseWindow) {
 		tr := trace.New(false)
 		var prev stats.Histogram
 		var out []market.SLOVerdict
-		for i := uint64(0); i < 3000; i++ {
+		var wins []phaseWindow
+		for i := uint64(0); i < n; i++ {
 			tr.Observe(trace.EvFault, int(i)%workers, synthDur(i*4096))
-			if (i+1)%1000 == 0 {
+			if (i+1)%every == 0 {
 				cum := tr.PhaseHistogram(trace.EvFault)
 				out = append(out, market.EvaluateSLO(target, cum, prev))
+				win := cum.Sub(prev)
+				wins = append(wins, phaseWindow{
+					Count: win.Count(), P50: win.Percentile(50), P99: win.Percentile(99),
+					Max: win.Max(), Mean: win.Mean(),
+				})
 				prev = cum
 			}
 		}
-		return out
+		return out, wins
 	}
-	ref := run(1)
-	if len(ref) != 3 {
-		t.Fatalf("windows = %d, want 3", len(ref))
+	ref, refWins := run(1)
+	if len(ref) != n/every {
+		t.Fatalf("windows = %d, want %d", len(ref), n/every)
+	}
+	for w, win := range refWins {
+		if win.Count != every {
+			t.Fatalf("window %d holds %d observations, want %d", w, win.Count, every)
+		}
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
+		got, gotWins := run(workers)
 		for w := range ref {
 			if got[w] != ref[w] {
 				t.Fatalf("workers=%d window %d verdict = %+v, want %+v", workers, w, got[w], ref[w])
 			}
-		}
-	}
-}
-
-// SLO accounting under core.NewParallel: real shard goroutines accumulate
-// per-shard histogram cells concurrently through the delivery callback, and
-// the merged evaluation must equal a mutex-serialised global accumulator fed
-// the same deliveries — at every shard count. This is the concurrency leg of
-// the invariance proof: how observations land in per-worker cells (which
-// goroutine, what order) cannot change the verdict.
-func TestEvaluateSLOUnderParallel(t *testing.T) {
-	wl := shardtest.Workloads()[0] // ramcloud-async
-	const seed = 42
-	ops := paralleltest.GenOps(wl, seed)
-	target := 2 * time.Millisecond
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := wl.NewConfig(seed)
-		cfg.Workers = shards
-		cfg.Seed = seed
-
-		cells := make([]stats.Histogram, shards)
-		var mu sync.Mutex
-		var global stats.Histogram
-		onData := func(shard int, ticket, addr uint64, data []byte) {
-			d := synthDur(addr)
-			cells[shard].Add(d) // shard-local: no lock needed
-			mu.Lock()
-			global.Add(d)
-			mu.Unlock()
-		}
-		p, err := core.NewParallel(cfg, nil, "slotest", onData)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := p.RegisterRange(shardtest.Base, uint64(wl.Pages)*core.PageSize, 1); err != nil {
-			t.Fatalf("shards=%d: register: %v", shards, err)
-		}
-		for i, op := range ops {
-			var err error
-			switch op.Kind {
-			case paralleltest.OpTouch:
-				err = p.Touch(op.Addr, op.Write)
-			case paralleltest.OpResize:
-				err = p.Resize(op.Capacity)
-			case paralleltest.OpDiscard:
-				p.Discard(op.Addr)
-			case paralleltest.OpDrain:
-				err = p.Drain()
+			if gotWins[w] != refWins[w] {
+				t.Fatalf("workers=%d window %d histogram = %+v, want %+v", workers, w, gotWins[w], refWins[w])
 			}
-			if err != nil {
-				t.Fatalf("shards=%d op %d: %v", shards, i, err)
-			}
-		}
-		if err := p.Drain(); err != nil {
-			t.Fatalf("shards=%d: drain: %v", shards, err)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatalf("shards=%d: close: %v", shards, err)
-		}
-
-		var merged stats.Histogram
-		for i := range cells {
-			merged.Merge(&cells[i])
-		}
-		got := market.EvaluateSLO(target, merged, stats.Histogram{})
-		want := market.EvaluateSLO(target, global, stats.Histogram{})
-		if got != want {
-			t.Fatalf("shards=%d: merged cells %+v != serial accumulator %+v", shards, got, want)
-		}
-		if got.Faults == 0 {
-			t.Fatalf("shards=%d: no deliveries observed", shards)
 		}
 	}
 }
