@@ -103,10 +103,14 @@ cluster-oracle:
 # be bitwise repeatable and the full report — offered load, goodput, sojourn
 # histograms, queue depths, planner epochs, logical trace digests — invariant
 # across fault-pipeline worker counts {1,2,4,8}, for every scenario × planner
-# cell; and the arrival schedules themselves must be split/merge-invariant.
+# cell; the arrival schedules themselves must be split/merge-invariant, every
+# built-in scenario's streams must hash to their pinned digests
+# (TestArrivalsPinned), and the bracketed inverse must equal the plain
+# bisection on every generated target (FuzzArrivalSchedule's seed corpus,
+# invariant 4). The explicit timeout makes a generator hang fail fast.
 openloop-oracle:
-	$(GO) test ./internal/loadgen/scenariotest/ -count=1
-	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun'
+	$(GO) test ./internal/loadgen/scenariotest/ -count=1 -timeout 120s
+	$(GO) test ./internal/loadgen/ -count=1 -timeout 120s -run 'TestSchedule|TestArrivals|TestRun|FuzzArrivalSchedule'
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the ghost-LRU working-set estimator, the cluster pool's rendezvous

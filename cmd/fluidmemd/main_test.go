@@ -62,3 +62,13 @@ func TestMarketFlagValidation(t *testing.T) {
 		t.Fatal("-market with -arbiter accepted")
 	}
 }
+
+func TestScenarioRateScaleValidation(t *testing.T) {
+	// A NaN scale used to hang the arrival generator; every non-finite or
+	// negative scale must now be refused before the replay starts.
+	for _, scale := range []string{"NaN", "Inf", "-Inf", "-1"} {
+		if err := run([]string{"-scenario", "diurnal", "-rate-scale", scale}); err == nil {
+			t.Fatalf("-rate-scale %s accepted", scale)
+		}
+	}
+}

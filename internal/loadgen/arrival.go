@@ -2,7 +2,7 @@ package loadgen
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"fluidmem/internal/clock"
@@ -58,7 +58,11 @@ func sliceSeed(seed uint64, k int64) uint64 {
 // poissonCount draws a Poisson(lambda) variate with Knuth's product method,
 // chunked so exp(-lambda) never underflows. Cost is O(lambda) PRNG draws —
 // about one extra draw per generated arrival, which is fine at slice scale.
+// A non-finite or non-positive lambda (a broken curve) counts 0, not forever.
 func poissonCount(r *clock.Rand, lambda float64) int {
+	if !(lambda > 0) || math.IsInf(lambda, 1) {
+		return 0
+	}
 	n := 0
 	for lambda > 30 {
 		n += knuthPoisson(r, 30)
@@ -88,15 +92,15 @@ func knuthPoisson(r *clock.Rand, lambda float64) int {
 func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Duration {
 	start := time.Duration(k) * ArrivalSlice
 	end := start + ArrivalSlice
-	cumStart := cfg.Curve.CumOps(start)
-	cumEnd := cfg.Curve.CumOps(end)
+	sc := newSliceCurve(cfg.Curve, start, end)
+	cumStart, cumEnd := sc.cumLo, sc.cumHi
 	switch cfg.Process {
 	case Deterministic:
 		// Arrivals at integer crossings of the cumulative measure: the
 		// half-open measure intervals (cumStart, cumEnd] tile the real
 		// line across slices, so each crossing is emitted exactly once.
 		for n := math.Floor(cumStart) + 1; n <= cumEnd; n++ {
-			t := invCum(cfg.Curve, n, start, end)
+			t := invCum(&sc, n)
 			if t >= end {
 				t = end - 1 // boundary crossing stays in this slice's window
 			}
@@ -110,13 +114,13 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 			// u in [0,1) maps to measure in [cumStart, cumEnd): inversion
 			// sampling of the conditional (non-homogeneous) distribution.
 			target := cumStart + r.Float64()*lambda
-			t := invCum(cfg.Curve, target, start, end)
+			t := invCum(&sc, target)
 			if t >= end {
 				t = end - 1
 			}
 			out = append(out, t)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
@@ -167,5 +169,72 @@ func TestEmptyWindow(t *testing.T) {
 	}
 	if s := (ArrivalConfig{Process: Poisson, Curve: ConstantRate{}, Seed: 3}).Schedule(0, 10*time.Millisecond); len(s) != 0 {
 		t.Fatalf("zero-rate curve produced %d arrivals", len(s))
+	}
+}
+
+// TestArrivalsPinned pins every built-in scenario's arrival streams exactly:
+// each tenant's Schedule(0, Horizon) at rate scales 1 and 3.5, seeded as Run
+// seeds it at seed 1, hashed as FNV-64a over the little-endian timestamps.
+// Any change to slicing, seeding, Poisson sampling or the inverse that moves
+// a single nanosecond fails here.
+func TestArrivalsPinned(t *testing.T) {
+	pins := []struct {
+		scenario string
+		scale    float64
+		count    int
+		digest   uint64
+	}{
+		{"diurnal", 1, 14011, 0xffa23844523bd081},
+		{"diurnal", 3.5, 49035, 0x201aeb9775f7651c},
+		{"flashcrowd", 1, 16071, 0x260f177a99f2e148},
+		{"flashcrowd", 3.5, 56214, 0x117a734523e58ae7},
+		{"churn", 1, 15738, 0x4ecddb27530b5cff},
+		{"churn", 3.5, 54772, 0x5e12e182f1d5d757},
+	}
+	for _, p := range pins {
+		scen, err := NamedScenario(p.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		count := 0
+		for i, ts := range scen.Tenants {
+			cfg := ArrivalConfig{Process: ts.Process, Curve: Scale(ts.Curve, p.scale), Seed: sliceSeed(1, int64(2*i+2))}
+			for _, at := range cfg.Schedule(0, scen.Horizon) {
+				binary.LittleEndian.PutUint64(buf[:], uint64(at))
+				h.Write(buf[:])
+				count++
+			}
+		}
+		if count != p.count || h.Sum64() != p.digest {
+			t.Errorf("%s ×%g: %d arrivals, digest %016x; pinned %d, %016x",
+				p.scenario, p.scale, count, h.Sum64(), p.count, p.digest)
+		}
+	}
+}
+
+// TestArrivalsNextAllocFree pins the steady-state generator at zero heap
+// allocations: the slice buffer is reused, the slice's curve is prepared on
+// the stack, and the in-slice sort allocates no closure or swapper.
+func TestArrivalsNextAllocFree(t *testing.T) {
+	scen, err := NamedScenario("diurnal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := Scale(scen.Tenants[0].Curve, 3.5)
+	it := NewArrivals(ArrivalConfig{Process: Poisson, Curve: curve, Seed: 5}, 0, time.Hour)
+	pull := func() {
+		for i := 0; i < 1000; i++ {
+			if _, ok := it.Next(); !ok {
+				t.Fatal("stream ended early")
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		pull() // grow the slice buffer to its steady-state capacity
+	}
+	if allocs := testing.AllocsPerRun(20, pull); allocs != 0 {
+		t.Fatalf("%v allocations per 1000 arrivals, want 0", allocs)
 	}
 }

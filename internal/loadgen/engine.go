@@ -162,6 +162,12 @@ func Run(cfg Config) (*Report, error) {
 	if scale < 0 {
 		return nil, fmt.Errorf("loadgen: negative rate scale %v", scale)
 	}
+	for _, ts := range scen.Tenants {
+		// A non-finite scale fails here too, as the ScaledRate's factor.
+		if _, err := curveErr(Scale(ts.Curve, scale), 0); err != nil {
+			return nil, fmt.Errorf("loadgen: tenant %s: %w", ts.ID, err)
+		}
+	}
 
 	// Build the host: one machine per tenant on a DRAM-backed shared store,
 	// planner per cfg. Per-machine worker counts are a pure performance

@@ -1,9 +1,12 @@
 package loadgen
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
+
+	"fluidmem/internal/clock"
 )
 
 func mustScenario(t *testing.T, name string) Scenario {
@@ -124,6 +127,83 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NamedScenario("no-such-scenario"); err == nil {
 		t.Fatal("unknown scenario name accepted")
+	}
+}
+
+// TestRunRejectsBadCurves covers every input the curve validator refuses.
+// Each used to be accepted: a zero period or a NaN scale hung the generator
+// (a NaN Poisson mean never terminates Knuth's product loop), and a swing
+// above 1 gave a negative rate, breaking the non-decreasing CumOps contract
+// the inverse's bracket relies on.
+func TestRunRejectsBadCurves(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	day := DiurnalRate{Base: 100, Swing: 0.5, Period: 10 * time.Millisecond}
+	withPeriod := func(p time.Duration) DiurnalRate { d := day; d.Period = p; return d }
+	withSwing := func(s float64) DiurnalRate { d := day; d.Swing = s; return d }
+	cases := []struct {
+		name  string
+		curve RateCurve
+		scale float64
+	}{
+		{"nil curve", nil, 1},
+		{"nan scale", day, nan},
+		{"inf scale", day, inf},
+		{"constant nan", ConstantRate{PerSec: nan}, 1},
+		{"constant inf", ConstantRate{PerSec: inf}, 1},
+		{"constant negative", ConstantRate{PerSec: -1}, 1},
+		{"diurnal zero period", withPeriod(0), 1},
+		{"diurnal negative period", withPeriod(-time.Millisecond), 1},
+		{"diurnal swing above 1", withSwing(3), 1},
+		{"diurnal negative swing", withSwing(-0.1), 1},
+		{"diurnal nan swing", withSwing(nan), 1},
+		{"diurnal negative base", DiurnalRate{Base: -5, Swing: 0.5, Period: time.Millisecond}, 1},
+		{"diurnal inf base", DiurnalRate{Base: inf, Swing: 0.5, Period: time.Millisecond}, 1},
+		{"diurnal nan phase", DiurnalRate{Base: 5, Swing: 0.5, Period: time.Millisecond, Phase: nan}, 1},
+		{"diurnal inf phase", DiurnalRate{Base: 5, Swing: 0.5, Period: time.Millisecond, Phase: -inf}, 1},
+		{"flash negative base", FlashCrowdRate{Base: -1, Spike: 2, Width: time.Millisecond}, 1},
+		{"flash negative spike", FlashCrowdRate{Base: 10, Spike: -2, Width: time.Millisecond}, 1},
+		{"flash nan spike", FlashCrowdRate{Base: 10, Spike: nan, Width: time.Millisecond}, 1},
+		{"flash negative width", FlashCrowdRate{Base: 10, Spike: 2, Width: -time.Millisecond}, 1},
+		{"flash negative start", FlashCrowdRate{Base: 10, Spike: 2, Start: -time.Millisecond, Width: time.Millisecond}, 1},
+		{"scaled negative factor", ScaledRate{Curve: day, Factor: -2}, 1},
+		{"scaled nan factor", ScaledRate{Curve: day, Factor: nan}, 1},
+		{"scaled bad inner", ScaledRate{Curve: withSwing(3), Factor: 2}, 1},
+		{"scaled nil inner", ScaledRate{Factor: 2}, 1},
+	}
+	run := func(curve RateCurve, scale float64) error {
+		scen := mustScenario(t, "diurnal")
+		scen.Horizon = 10 * time.Millisecond
+		scen.Tenants[0].Curve = curve
+		_, err := Run(Config{Scenario: scen, RateScale: scale})
+		return err
+	}
+	for _, tc := range cases {
+		if run(tc.curve, tc.scale) == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The edges of the contract stay accepted.
+	for _, ok := range []RateCurve{withSwing(0), withSwing(1), ConstantRate{}, ScaledRate{Curve: day},
+		FlashCrowdRate{Base: 10, Spike: 0, Width: time.Millisecond}} {
+		if err := run(ok, 1); err != nil {
+			t.Errorf("%#v rejected: %v", ok, err)
+		}
+	}
+}
+
+// TestArrivalsBadCurveTerminates feeds a contract-breaking curve straight to
+// the generator, past Run's validation: its NaN measure must yield no
+// arrivals rather than hang the Poisson sampler.
+func TestArrivalsBadCurveTerminates(t *testing.T) {
+	it := NewArrivals(ArrivalConfig{Curve: DiurnalRate{Base: 100, Swing: 0.5}}, 0, 10*time.Millisecond)
+	if at, ok := it.Next(); ok {
+		t.Fatalf("zero-period curve yielded an arrival at %v", at)
+	}
+	r := clock.NewRand(1)
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 0} {
+		if n := poissonCount(r, lambda); n != 0 {
+			t.Fatalf("poissonCount(%v) = %d, want 0", lambda, n)
+		}
 	}
 }
 
