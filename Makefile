@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race check-race bench-quick bench-json bench-ratchet shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check build vet test race check-race bench-quick bench-json shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # shard-oracle re-proves worker-count determinism on the write-back workloads,
@@ -12,11 +12,11 @@ GO ?= go
 # schedules, market-oracle re-proves that market plans and SLO verdicts are
 # invariant across worker counts and interleavings, openloop-oracle
 # re-proves that open-loop scenario replays are bitwise repeatable and
-# invariant across fault-pipeline worker counts, fuzz-short gives the model
-# checkers a short adversarial pass, and bench-ratchet re-measures every
-# directional metric row of the committed BENCH_*.json artifacts and fails
-# on a >10% regression.
-check: vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short bench-ratchet
+# invariant across fault-pipeline worker counts, and fuzz-short gives the
+# model checkers a short adversarial pass. The committed BENCH_*.json
+# artifacts are pinned byte-for-byte by TestArtifactsPinned
+# (cmd/fluidmem-bench), which runs as part of test.
+check: vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 build:
 	$(GO) build ./...
@@ -47,19 +47,10 @@ bench-quick:
 # edit to forget. fluidmem-bench fails loudly if any selected experiment
 # stops producing its artifact, and each result's Validate() vetoes vacuous
 # artifacts (a market run with zero SLO-enforcement epochs, an open-loop
-# sweep that never brackets its knee).
+# sweep that never brackets its knee). TestArtifactsPinned then requires a
+# fresh run to reproduce every one of these files byte-for-byte.
 bench-json:
 	$(GO) run ./cmd/fluidmem-bench -run artifacts -json
-
-# The metric ratchet: re-run the artifact experiments and compare every
-# directional metric row — throughputs and goodputs must not drop, latency
-# and miss-rate rows must not rise — against the committed BENCH_*.json
-# baselines; a >10% move in the bad direction fails the build. The compared
-# rows are virtual-time measurements, so on unchanged simulation logic the
-# comparison is exact; machine-dependent rows (wall clocks, allocation
-# rates, core counts, speedups) are excluded by key.
-bench-ratchet:
-	$(GO) run ./cmd/fluidmem-bench -run artifacts -ratchet
 
 # The write-back determinism oracle: N-worker monitors must be logically
 # identical to the serial monitor on the write-heavy / zero-heavy workloads.

@@ -4,12 +4,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -36,9 +33,10 @@ type validatable interface{ Validate() error }
 
 // experiment couples a name to its runner. artifact marks the experiments
 // whose results are committed as BENCH_<name>.json baselines: the Makefile's
-// bench-json and bench-ratchet targets select them with the meta-name
-// "artifacts" instead of hand-maintaining a list, so adding an experiment
-// here is the single step that enrolls it in both gates.
+// bench-json target selects them with the meta-name "artifacts" instead of
+// hand-maintaining a list, and TestArtifactsPinned requires each to
+// regenerate byte-for-byte, so adding an experiment here is the single step
+// that enrolls it in both.
 type experiment struct {
 	name     string
 	desc     string
@@ -99,7 +97,6 @@ func run(args []string) (err error) {
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		jsonOut  = fs.Bool("json", false, "also write BENCH_<name>.json for experiments that support it")
-		ratchet  = fs.Bool("ratchet", false, "compare every metric row against the committed BENCH_<name>.json; fail on a >10% regression")
 		traceOut = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) to this file, for experiments that record one")
 		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memOut   = fs.String("memprofile", "", "write an allocation profile to this file when the experiments finish")
@@ -183,11 +180,6 @@ func run(args []string) (err error) {
 			}
 			fmt.Printf("wrote %s\n", artifact)
 		}
-		if *ratchet {
-			if err := ratchetCheck(e.name, res); err != nil {
-				return err
-			}
-		}
 		if *traceOut != "" {
 			tr, ok := res.(traceable)
 			if !ok {
@@ -209,173 +201,6 @@ func run(args []string) (err error) {
 	}
 	if matched == 0 {
 		return fmt.Errorf("no experiment matches %q (use -list)", *runNames)
-	}
-	return nil
-}
-
-// ratchetCheck is the performance regression gate: every directional metric
-// row of the freshly measured artifact is compared against the committed
-// BENCH_<name>.json baseline, and a >10% move in the bad direction fails the
-// build. Direction comes from the key: throughput-like rows (per_sec, teps,
-// goodput, knee_scale) must not drop; latency-like rows (_ns suffixes, the
-// cluster matrix's P50/P99/Mean/RecoveryTime/DrainTime, _pct miss rates)
-// must not rise. Machine-dependent rows (wall clocks, allocations, core
-// counts, speedups) are excluded — everything else in these artifacts is
-// virtual time, bit-deterministic per seed, so on unchanged simulation logic
-// the comparison is exact and a trip means the change really moved a metric;
-// the gate forces that to be a deliberate, committed decision rather than
-// drift.
-func ratchetCheck(name string, res renderable) error {
-	j, ok := res.(jsonable)
-	if !ok {
-		fmt.Printf("%s: ratchet: no JSON artifact; skipped\n", name)
-		return nil
-	}
-	artifact := "BENCH_" + name + ".json"
-	oldData, err := os.ReadFile(artifact)
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: no committed baseline: %w", name, err)
-	}
-	newData, err := j.JSON()
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: json: %w", name, err)
-	}
-	oldRows, err := metricRows(oldData)
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: parse %s: %w", name, artifact, err)
-	}
-	newRows, err := metricRows(newData)
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: parse measured result: %w", name, err)
-	}
-	if len(oldRows) == 0 {
-		fmt.Printf("%s: ratchet: no directional metric rows in %s; skipped\n", name, artifact)
-		return nil
-	}
-	if len(oldRows) != len(newRows) {
-		return fmt.Errorf("%s: ratchet: metric row count changed: %s has %d rows, measured %d (regenerate with -json and commit)",
-			name, artifact, len(oldRows), len(newRows))
-	}
-	for i, old := range oldRows {
-		cur := newRows[i]
-		if old.key != cur.key {
-			return fmt.Errorf("%s: ratchet: metric row %d changed key: %s has %q, measured %q (regenerate with -json and commit)",
-				name, i, artifact, old.key, cur.key)
-		}
-		// 10% relative slack plus a small absolute floor so zero-valued
-		// baselines (a 0 ns p50, an exactly-met bound) don't trip on any
-		// nonzero measurement regardless of magnitude.
-		tol := 0.1*math.Abs(old.val) + metricFloor(old.key)
-		var regressed bool
-		if old.dir > 0 {
-			regressed = cur.val < old.val-tol
-		} else {
-			regressed = cur.val > old.val+tol
-		}
-		if regressed {
-			return fmt.Errorf("%s: ratchet: %s row %d regressed: %g -> %g (threshold 10%%)",
-				name, old.key, i, old.val, cur.val)
-		}
-	}
-	fmt.Printf("%s: ratchet: %d metric rows within 10%% of %s\n", name, len(oldRows), artifact)
-	return nil
-}
-
-// metricRow is one directional numeric field of an artifact, in document
-// order. dir is +1 for higher-is-better rows and -1 for lower-is-better.
-type metricRow struct {
-	key string
-	val float64
-	dir int
-}
-
-// metricDirection classifies an artifact key: +1 higher-is-better, -1
-// lower-is-better, 0 not a performance metric (config echoes, counts, and
-// machine-dependent measurements like wall clocks or allocation rates).
-func metricDirection(key string) int {
-	lk := strings.ToLower(key)
-	for _, skip := range []string{"wall", "alloc", "speedup", "cores", "gomaxprocs", "seed"} {
-		if strings.Contains(lk, skip) {
-			return 0
-		}
-	}
-	switch {
-	case strings.Contains(lk, "per_sec"), strings.Contains(lk, "teps"), key == "knee_scale":
-		return +1
-	case strings.HasSuffix(lk, "_ns"), strings.HasSuffix(lk, "_pct"):
-		return -1
-	}
-	switch key {
-	// The cluster lifecycle matrix predates the _ns suffix convention.
-	case "Mean", "P50", "P99", "RecoveryTime", "DrainTime":
-		return -1
-	}
-	return 0
-}
-
-// metricFloor is the absolute slack added to the 10% relative tolerance.
-func metricFloor(key string) float64 {
-	lk := strings.ToLower(key)
-	switch {
-	case strings.HasSuffix(lk, "_ns"):
-		return 200 // nanoseconds of virtual time
-	case strings.HasSuffix(lk, "_pct"):
-		return 0.5 // percentage points
-	default:
-		return 1e-9
-	}
-}
-
-// metricRows extracts every directional numeric field from a JSON document,
-// in document order, at any nesting depth. Token-level scanning (rather than
-// unmarshalling into a map) keeps the order stable so old and new artifacts
-// compare row-for-row; numbers inside arrays carry no key of their own
-// (spans, sweep lists) and are never collected.
-func metricRows(data []byte) ([]metricRow, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var out []metricRow
-	if err := scanValue(dec, "", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanValue consumes one JSON value from dec; key names the object field the
-// value belongs to ("" for array elements and the document root).
-func scanValue(dec *json.Decoder, key string, out *[]metricRow) error {
-	t, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	switch tok := t.(type) {
-	case json.Delim:
-		switch tok {
-		case '{':
-			for dec.More() {
-				kt, err := dec.Token()
-				if err != nil {
-					return err
-				}
-				k, _ := kt.(string)
-				if err := scanValue(dec, k, out); err != nil {
-					return err
-				}
-			}
-			_, err := dec.Token() // closing brace
-			return err
-		case '[':
-			for dec.More() {
-				if err := scanValue(dec, "", out); err != nil {
-					return err
-				}
-			}
-			_, err := dec.Token() // closing bracket
-			return err
-		}
-	case float64:
-		if dir := metricDirection(key); key != "" && dir != 0 {
-			*out = append(*out, metricRow{key: key, val: tok, dir: dir})
-		}
 	}
 	return nil
 }

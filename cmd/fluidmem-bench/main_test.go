@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"fluidmem/internal/bench"
 )
 
 func TestListFlag(t *testing.T) {
@@ -76,130 +81,142 @@ func TestExperimentNamesUnique(t *testing.T) {
 	}
 }
 
-func TestMetricRowsExtraction(t *testing.T) {
-	doc := []byte(`{
-		"meta": {"faults_per_sec": 100.5, "seed": 42, "wall_ms": 17},
-		"rows": [
-			{"label": "a", "faults_per_sec": 1.25, "sojourn_p99_ns": 900, "other": 7},
-			{"label": "b", "nested": {"goodput_per_sec": 2.5}, "miss_pct": 3.5},
-			{"label": "c", "scales": [0.5, 1, 8], "allocs_per_op": 0}
-		],
-		"knee_scale": 4
-	}`)
-	rows, err := metricRows(doc)
-	if err != nil {
-		t.Fatal(err)
+// TestArtifactsPinned is the exact determinism gate: every artifact
+// experiment, re-run at full scale with the default seed, must serialise
+// byte-for-byte to its committed BENCH_<name>.json. These artifacts are
+// virtual-time measurements, so any difference is a semantic change that
+// must be regenerated (make bench-json) and committed deliberately.
+func TestArtifactsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs every artifact experiment at full scale")
 	}
-	want := []metricRow{
-		{key: "faults_per_sec", val: 100.5, dir: +1},
-		{key: "faults_per_sec", val: 1.25, dir: +1},
-		{key: "sojourn_p99_ns", val: 900, dir: -1},
-		{key: "goodput_per_sec", val: 2.5, dir: +1},
-		{key: "miss_pct", val: 3.5, dir: -1},
-		{key: "knee_scale", val: 4, dir: +1},
+	byName := make(map[string]experiment)
+	for _, e := range experiments() {
+		byName[e.name] = e
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %+v, want %+v", rows, want)
-	}
-	for i := range want {
-		if rows[i] != want[i] {
-			t.Fatalf("row %d = %+v, want %+v (document order, seed/wall/alloc/array values excluded)",
-				i, rows[i], want[i])
-		}
+	for _, name := range artifactNames() {
+		t.Run(name, func(t *testing.T) {
+			res, err := byName[name].run(bench.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, ok := res.(jsonable)
+			if !ok {
+				t.Fatalf("artifact experiment %q produces no JSON", name)
+			}
+			got, err := j.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("BENCH_%s.json differs from a fresh run: %s", name, firstJSONDiff(t, want, got))
+			}
+		})
 	}
 }
 
-func TestMetricDirection(t *testing.T) {
-	cases := []struct {
-		key  string
-		want int
-	}{
-		{"faults_per_sec", +1}, {"teps", +1}, {"knee_scale", +1},
-		{"sojourn_p99_ns", -1}, {"backlog_ns", -1}, {"miss_pct", -1},
-		{"P99", -1}, {"RecoveryTime", -1},
-		{"wall_ms", 0}, {"allocs_per_op", 0}, {"speedup", 0},
-		{"cores", 0}, {"seed", 0}, {"epochs", 0}, {"label", 0},
-		// Machine-dependent markers win over directional suffixes.
-		{"wall_p99_ns", 0},
+// firstJSONDiff decodes both documents and names the first path at which
+// they differ, so a pin failure points at the moved metric rather than at a
+// byte offset.
+func firstJSONDiff(t *testing.T, want, got []byte) string {
+	var w, g any
+	if err := json.Unmarshal(want, &w); err != nil {
+		t.Fatalf("committed artifact: %v", err)
+	}
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatalf("fresh artifact: %v", err)
+	}
+	if d := jsonDiff("$", w, g); d != "" {
+		return d
+	}
+	return "same values, different bytes (formatting or key order)"
+}
+
+// jsonDiff returns the first path at which two decoded JSON values differ,
+// or "" when they are equal. Object keys are visited in sorted order.
+func jsonDiff(path string, want, got any) string {
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok {
+			return fmt.Sprintf("%s: committed object, fresh %T", path, got)
+		}
+		keys := make([]string, 0, len(w)+len(g))
+		for k := range w {
+			keys = append(keys, k)
+		}
+		for k := range g {
+			if _, dup := w[k]; !dup {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			wv, inW := w[k]
+			gv, inG := g[k]
+			switch {
+			case !inW:
+				return fmt.Sprintf("%s.%s: only in the fresh run", path, k)
+			case !inG:
+				return fmt.Sprintf("%s.%s: only in the committed artifact", path, k)
+			}
+			if d := jsonDiff(path+"."+k, wv, gv); d != "" {
+				return d
+			}
+		}
+		return ""
+	case []any:
+		g, ok := got.([]any)
+		if !ok {
+			return fmt.Sprintf("%s: committed array, fresh %T", path, got)
+		}
+		for i := 0; i < min(len(w), len(g)); i++ {
+			if d := jsonDiff(fmt.Sprintf("%s[%d]", path, i), w[i], g[i]); d != "" {
+				return d
+			}
+		}
+		if len(w) != len(g) {
+			return fmt.Sprintf("%s: committed length %d, fresh %d", path, len(w), len(g))
+		}
+		return ""
+	}
+	if want != got {
+		return fmt.Sprintf("%s: committed %v, fresh %v", path, want, got)
+	}
+	return ""
+}
+
+func TestJSONDiffPaths(t *testing.T) {
+	cases := []struct{ want, got, path string }{
+		{`{"a":1}`, `{"a":1}`, ""},
+		{`{"a":{"b":[1,2]}}`, `{"a":{"b":[1,3]}}`, "$.a.b[1]"},
+		{`{"a":1}`, `{"a":1,"b":2}`, "$.b"},
+		{`{"a":[1,2]}`, `{"a":[1]}`, "$.a"},
+		{`{"a":"x"}`, `{"a":{}}`, "$.a"},
 	}
 	for _, c := range cases {
-		if got := metricDirection(c.key); got != c.want {
-			t.Errorf("metricDirection(%q) = %d, want %d", c.key, got, c.want)
+		var w, g any
+		if err := json.Unmarshal([]byte(c.want), &w); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// fakeThroughputResult lets ratchet tests control the "measured" JSON.
-type fakeThroughputResult struct{ doc string }
-
-func (f *fakeThroughputResult) Render() string        { return "fake" }
-func (f *fakeThroughputResult) JSON() ([]byte, error) { return []byte(f.doc), nil }
-
-func TestRatchetCheck(t *testing.T) {
-	dir := t.TempDir()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-
-	baseline := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000},{"faults_per_sec":2000}]}`
-	if err := os.WriteFile("BENCH_fake.json", []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Identical rows pass.
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: baseline}); err != nil {
-		t.Fatalf("identical rows rejected: %v", err)
-	}
-	// Small (<10%) moves in the bad direction pass, as does any improvement.
-	ok := `{"rows":[{"faults_per_sec":950,"p99_ns":5400},{"faults_per_sec":2600}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: ok}); err != nil {
-		t.Fatalf("5%% dip rejected: %v", err)
-	}
-	// A >10% throughput drop in any row fails.
-	bad := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000},{"faults_per_sec":1500}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: bad}); err == nil {
-		t.Fatal("25% throughput regression accepted")
-	}
-	// A >10% latency rise fails too — the ratchet is direction-aware, so a
-	// latency row regresses by going UP.
-	slow := `{"rows":[{"faults_per_sec":1000,"p99_ns":7000},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: slow}); err == nil {
-		t.Fatal("40% latency regression accepted")
-	}
-	// A latency *improvement* of any size passes (no ratchet on the good side).
-	fast := `{"rows":[{"faults_per_sec":1000,"p99_ns":100},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: fast}); err != nil {
-		t.Fatalf("latency improvement rejected: %v", err)
-	}
-	// A zero-valued latency baseline tolerates only the absolute floor.
-	zeroBase := `{"rows":[{"p50_ns":0}]}`
-	if err := os.WriteFile("BENCH_zero.json", []byte(zeroBase), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ratchetCheck("zero", &fakeThroughputResult{doc: `{"rows":[{"p50_ns":150}]}`}); err != nil {
-		t.Fatalf("sub-floor rise over zero baseline rejected: %v", err)
-	}
-	if err := ratchetCheck("zero", &fakeThroughputResult{doc: `{"rows":[{"p50_ns":5000}]}`}); err == nil {
-		t.Fatal("5µs rise over a 0ns baseline accepted")
-	}
-	// Row-count drift fails: the committed artifact is stale.
-	drift := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: drift}); err == nil {
-		t.Fatal("row-count drift accepted")
-	}
-	// So does a key change at the same row position (renamed metric).
-	renamed := `{"rows":[{"faults_per_sec":1000,"p98_ns":5000},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: renamed}); err == nil {
-		t.Fatal("metric rename accepted")
-	}
-	// A missing committed baseline fails loudly.
-	if err := ratchetCheck("absent", &fakeThroughputResult{doc: baseline}); err == nil {
-		t.Fatal("missing baseline accepted")
+		if err := json.Unmarshal([]byte(c.got), &g); err != nil {
+			t.Fatal(err)
+		}
+		d := jsonDiff("$", w, g)
+		if c.path == "" {
+			if d != "" {
+				t.Errorf("%s vs %s: unexpected diff %q", c.want, c.got, d)
+			}
+			continue
+		}
+		if !strings.HasPrefix(d, c.path+":") {
+			t.Errorf("%s vs %s: diff %q, want path %s", c.want, c.got, d, c.path)
+		}
 	}
 }
 

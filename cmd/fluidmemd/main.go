@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,46 +61,42 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *scenario != "" {
-		if *vms > 1 {
-			return fmt.Errorf("-scenario builds its own tenant population (no -vms)")
-		}
-		if *arb && *mkt {
-			return fmt.Errorf("-arbiter and -market are mutually exclusive planners")
-		}
-		planner := loadgen.PlannerStatic
-		switch {
-		case *arb:
-			planner = loadgen.PlannerArbiter
-		case *mkt:
-			planner = loadgen.PlannerMarket
-		}
-		return runScenario(*scenario, planner, *rateScale, *workers, *seed)
+	if *vms < 1 {
+		return fmt.Errorf("-vms %d: need at least one tenant", *vms)
 	}
-	if *vms > 1 {
-		if *arb && *mkt {
-			return fmt.Errorf("-arbiter and -market are mutually exclusive planners")
-		}
-		planner := ""
-		switch {
-		case *arb:
-			planner = "arbiter"
-		case *mkt:
-			planner = "market"
-		}
+	console := consoleMachine
+	switch {
+	case *scenario != "":
+		console = consoleScenario
+	case *vms > 1:
+		console = consoleHost
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkConsoleFlags(console, set); err != nil {
+		return err
+	}
+	if *arb && *mkt {
+		return fmt.Errorf("-arbiter and -market are mutually exclusive planners")
+	}
+	planner := loadgen.PlannerStatic
+	switch {
+	case *arb:
+		planner = loadgen.PlannerArbiter
+	case *mkt:
+		planner = loadgen.PlannerMarket
+	}
+	switch console {
+	case consoleScenario:
+		return runScenario(*scenario, planner, *rateScale, *workers, *seed)
+	case consoleHost:
 		// With -vms the script speaks the host console (status | slo |
 		// market); the single-machine default script would not parse.
 		hostScript := "status;slo;market"
-		if scriptFlagSet(fs) {
+		if set["script"] {
 			hostScript = *script
 		}
 		return runHost(*backend, *vms, planner, *localMB, *seed, hostScript)
-	}
-	if *arb {
-		return fmt.Errorf("-arbiter needs -vms > 1 (a single tenant has nothing to rebalance)")
-	}
-	if *mkt {
-		return fmt.Errorf("-market needs -vms > 1 (a single tenant has nobody to trade with)")
 	}
 	mcfg := fluidmem.MachineConfig{
 		Mode:        fluidmem.ModeFluidMem,
@@ -222,15 +219,37 @@ func runScenario(name string, planner loadgen.Planner, scale float64, workers in
 	return nil
 }
 
-// scriptFlagSet reports whether -script was given explicitly.
-func scriptFlagSet(fs *flag.FlagSet) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "script" {
-			set = true
+// The three consoles fluidmemd can run: the scripted single machine (the
+// default), the multi-tenant host (-vms > 1), and the open-loop scenario
+// replay (-scenario).
+const (
+	consoleMachine  = "single-machine console"
+	consoleHost     = "host console (-vms > 1)"
+	consoleScenario = "scenario console (-scenario)"
+)
+
+// consoleFlags lists the flags each console reads.
+var consoleFlags = map[string][]string{
+	consoleMachine: {"backend", "local", "guest", "script", "seed", "replicas", "store-nodes",
+		"failure-schedule", "chaos", "workers", "elide-zero", "clean-drop", "trace", "vms"},
+	consoleHost:     {"backend", "local", "script", "seed", "vms", "arbiter", "market"},
+	consoleScenario: {"scenario", "seed", "workers", "arbiter", "market", "rate-scale"},
+}
+
+// checkConsoleFlags refuses any explicitly set flag the chosen console does
+// not read, so a flag is never silently ignored.
+func checkConsoleFlags(console string, set map[string]bool) error {
+	var unused []string
+	for name := range set {
+		if !slices.Contains(consoleFlags[console], name) {
+			unused = append(unused, "-"+name)
 		}
-	})
-	return set
+	}
+	if len(unused) == 0 {
+		return nil
+	}
+	sort.Strings(unused)
+	return fmt.Errorf("%s not used by the %s", strings.Join(unused, ", "), console)
 }
 
 // runHost is the multi-tenant console: N named tenants share one store and
@@ -244,7 +263,7 @@ func scriptFlagSet(fs *flag.FlagSet) bool {
 // back. Without either, the equal split is frozen but SLO windows still
 // run. After the drive, the script runs against the host console: status |
 // slo | market.
-func runHost(backend string, vms int, planner string, localMB int, seed uint64, script string) error {
+func runHost(backend string, vms int, planner loadgen.Planner, localMB int, seed uint64, script string) error {
 	const epochOps, rounds = 512, 8
 	totalPages := (localMB << 20) / int(fluidmem.PageSize)
 	equal := totalPages / vms
@@ -278,10 +297,10 @@ func runHost(backend string, vms int, planner string, localMB int, seed uint64, 
 	hc := fluidmem.HostConfig{Tenants: specs, TotalLocalPages: totalPages, Seed: seed, EpochOps: epochOps}
 	mode := "static equal split"
 	switch planner {
-	case "arbiter":
+	case loadgen.PlannerArbiter:
 		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: epochOps}
 		mode = "arbiter rebalancing"
-	case "market":
+	case loadgen.PlannerMarket:
 		hc.Market = &fluidmem.MarketConfig{EpochOps: epochOps}
 		mode = "marketplace (SLO claw-back)"
 	}
@@ -292,9 +311,10 @@ func runHost(backend string, vms int, planner string, localMB int, seed uint64, 
 	fmt.Printf("fluidmemd: host with %d tenants on %s, %d shared pages (%d MB), %s\n",
 		vms, backend, totalPages, localMB, mode)
 
+	tenants := h.Tenants()
 	segs := make([]uint64, vms)
-	for i := 0; i < vms; i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
+	for i, tn := range tenants {
+		seg, err := tn.Machine().Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
 		if err != nil {
 			return err
 		}
@@ -302,10 +322,10 @@ func runHost(backend string, vms int, planner string, localMB int, seed uint64, 
 	}
 	for r := 0; r < rounds; r++ {
 		for op := 0; op < epochOps; op++ {
-			for i := 0; i < vms; i++ {
+			for i, tn := range tenants {
 				addr := segs[i] + uint64((r*epochOps+op)%spans[i])*fluidmem.PageSize
-				if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
-					return fmt.Errorf("%s: %w", specs[i].ID, err)
+				if _, err := tn.Touch(addr, op%3 == 0); err != nil {
+					return fmt.Errorf("%s: %w", tn.ID(), err)
 				}
 			}
 		}

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestDefaultScript(t *testing.T) {
 	if err := run([]string{"-local", "16", "-guest", "64"}); err != nil {
@@ -60,6 +65,47 @@ func TestMarketFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-vms", "2", "-market", "-arbiter"}); err == nil {
 		t.Fatal("-market with -arbiter accepted")
+	}
+}
+
+// Every console refuses the flags it does not read instead of silently
+// ignoring them, and a refused run writes nothing.
+func TestConsoleFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "out.json")
+	cases := []struct {
+		name   string
+		args   []string
+		unused []string // flags the error must name; nil for a non-flag error
+	}{
+		{"zero vms", []string{"-vms", "0"}, nil},
+		{"negative vms", []string{"-vms", "-3"}, nil},
+		{"host ignores machine flags", []string{"-vms", "2", "-trace", trace, "-workers", "4", "-guest", "9999"},
+			[]string{"-guest", "-trace", "-workers"}},
+		{"host ignores scenario flags", []string{"-vms", "2", "-rate-scale", "2"}, []string{"-rate-scale"}},
+		{"scenario ignores machine flags", []string{"-scenario", "diurnal", "-backend", "abacus", "-trace", trace},
+			[]string{"-backend", "-trace"}},
+		{"scenario ignores vms", []string{"-scenario", "diurnal", "-vms", "2"}, []string{"-vms"}},
+		{"machine ignores arbiter", []string{"-arbiter"}, []string{"-arbiter"}},
+		{"machine ignores market", []string{"-market"}, []string{"-market"}},
+		{"machine ignores rate-scale", []string{"-rate-scale", "2"}, []string{"-rate-scale"}},
+		{"scenario planners exclusive", []string{"-scenario", "diurnal", "-arbiter", "-market"}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := run(c.args)
+			if err == nil {
+				t.Fatalf("%v accepted", c.args)
+			}
+			for _, f := range c.unused {
+				if !strings.Contains(err.Error(), f) {
+					t.Fatalf("%v: error %q does not name %s", c.args, err, f)
+				}
+			}
+			if _, serr := os.Stat(trace); serr == nil {
+				t.Fatalf("%v: refused run wrote %s", c.args, trace)
+			}
+		})
 	}
 }
 

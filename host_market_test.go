@@ -53,22 +53,7 @@ func marketHostRun(t *testing.T, workers int, planner string, sched hostSchedule
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := make([]uint64, h.VMs())
-	spans := []int{80, 8}
-	for i := 0; i < h.VMs(); i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs[i] = seg.Addr(0)
-	}
-	walk := func(t *testing.T, h *Host, vmIdx, op int) {
-		t.Helper()
-		addr := segs[vmIdx] + uint64(op%spans[vmIdx])*PageSize
-		if _, err := h.Touch(vmIdx, addr, op%3 == 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	walk := hostWalk(t, h, []int{80, 8})
 	for r := 0; r < rounds; r++ {
 		sched(t, h, r, epochOps, walk)
 	}
@@ -163,7 +148,8 @@ func hostMarketDigest(h *Host) []uint64 {
 	if h.mkt != nil {
 		out = append(out, h.mkt.Digest())
 	}
-	for _, s := range h.slo {
+	for _, tn := range h.tenants {
+		s := tn.slo
 		out = append(out, s.Windows, s.Violations, uint64(s.LastP99), s.LastFaults)
 	}
 	return out
@@ -200,8 +186,8 @@ func TestHostMarketInterleavingInvariance(t *testing.T) {
 	}
 }
 
-// The tenant-centric surface: lookup by ID, policy echo, and the index
-// methods as wrappers over the same machines.
+// The tenant surface: lookup by ID, policy echo, and configuration-order
+// enumeration over the same handles.
 func TestHostTenantAPI(t *testing.T) {
 	h, err := NewHost(HostConfig{
 		Tenants: []TenantSpec{
@@ -224,10 +210,7 @@ func TestHostTenantAPI(t *testing.T) {
 	if got := b.Policy(); got != (TenantPolicy{FloorPages: 4, CeilPages: 16, SLO: time.Millisecond}) {
 		t.Fatalf("policy = %+v", got)
 	}
-	if b.Machine() != h.Machine(1) {
-		t.Fatal("index wrapper and tenant handle disagree on the machine")
-	}
-	if all := h.Tenants(); len(all) != 2 || all[0].ID() != "a" || all[1].ID() != "b" {
+	if all := h.Tenants(); len(all) != 2 || all[0].ID() != "a" || all[1] != b {
 		t.Fatalf("Tenants() = %v", all)
 	}
 	seg, err := b.Machine().Alloc("d", 4*PageSize)
@@ -252,8 +235,6 @@ func TestNewHostTenantValidation(t *testing.T) {
 		name string
 		cfg  HostConfig
 	}{
-		{"both surfaces", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm}}, VMs: hostVMs(1), TotalLocalPages: 16}},
 		{"empty ID", HostConfig{
 			Tenants: []TenantSpec{{VM: vm}}, TotalLocalPages: 16}},
 		{"duplicate ID", HostConfig{
@@ -270,6 +251,14 @@ func TestNewHostTenantValidation(t *testing.T) {
 		{"bad market policy", HostConfig{
 			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
 			Market: &MarketConfig{Policy: MarketPolicy{FloorPages: -1, Step: 1}}}},
+		{"negative host epoch", HostConfig{
+			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16, EpochOps: -1}},
+		{"negative arbiter epoch", HostConfig{
+			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
+			Arbiter: &ArbiterConfig{EpochOps: -1}}},
+		{"negative market epoch", HostConfig{
+			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
+			Market: &MarketConfig{EpochOps: -1}}},
 	}
 	for _, c := range cases {
 		if _, err := NewHost(c.cfg); err == nil {

@@ -1,36 +1,39 @@
 package fluidmem
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"fluidmem/internal/core"
 )
 
-// hostVMs builds n identical FluidMem VM configs for a host.
-func hostVMs(n int) []MachineConfig {
-	vms := make([]MachineConfig, n)
-	for i := range vms {
-		vms[i] = MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}
+// hostTenants builds n identical FluidMem tenants "vm0", "vm1", ... with
+// zero policy.
+func hostTenants(n int) []TenantSpec {
+	specs := make([]TenantSpec, n)
+	for i := range specs {
+		specs[i] = TenantSpec{ID: fmt.Sprintf("vm%d", i), VM: MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}}
 	}
-	return vms
+	return specs
 }
 
 func TestNewHostValidation(t *testing.T) {
 	if _, err := NewHost(HostConfig{TotalLocalPages: 64}); err == nil {
-		t.Fatal("empty VM list accepted")
+		t.Fatal("empty tenant list accepted")
 	}
-	if _, err := NewHost(HostConfig{VMs: hostVMs(4), TotalLocalPages: 3}); err == nil {
-		t.Fatal("budget below one page per VM accepted")
+	if _, err := NewHost(HostConfig{Tenants: hostTenants(4), TotalLocalPages: 3}); err == nil {
+		t.Fatal("budget below one page per tenant accepted")
 	}
-	vms := hostVMs(2)
-	vms[1].Mode = ModeSwap
-	if _, err := NewHost(HostConfig{VMs: vms, TotalLocalPages: 64}); err == nil {
+	specs := hostTenants(2)
+	specs[1].VM.Mode = ModeSwap
+	if _, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 64}); err == nil {
 		t.Fatal("swap-mode VM accepted into a resizable shared budget")
 	}
 	bad := &ArbiterConfig{Policy: ArbiterPolicy{FloorPages: -1, Step: 1}}
-	if _, err := NewHost(HostConfig{VMs: hostVMs(2), TotalLocalPages: 64, Arbiter: bad}); err == nil {
+	if _, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 64, Arbiter: bad}); err == nil {
 		t.Fatal("invalid arbiter policy accepted")
 	}
 }
@@ -78,8 +81,8 @@ func TestMachineCapacityValidation(t *testing.T) {
 // died mid-run, or one that has not booted yet in an open-loop scenario)
 // stops gating the epoch-window barrier, so planner epochs keep closing
 // for the survivors instead of stalling forever; reactivating it makes the
-// barrier wait for it again. This is the host-level hook internal/loadgen's
-// churn scenario drives.
+// barrier wait for it again. This is the hook internal/loadgen's churn
+// scenario drives through Tenant.SetActive.
 func TestHostTenantLifecycleWindows(t *testing.T) {
 	const epochOps = 8
 	const span = 24
@@ -92,21 +95,17 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := make([]uint64, len(specs))
-	for i := range specs {
-		seg, err := h.Machine(i).Alloc("ws", span*PageSize)
+	tenants := h.Tenants()
+	segs := make([]uint64, len(tenants))
+	for i, tn := range tenants {
+		seg, err := tn.Machine().Alloc("ws", span*PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		segs[i] = seg.Addr(0)
 	}
+	dead := tenants[2]
 
-	if err := h.SetTenantActive("ghost", true); err == nil {
-		t.Fatal("unknown tenant accepted")
-	}
-	if h.TenantActive("ghost") {
-		t.Fatal("unknown tenant reported active")
-	}
 	for _, ts := range h.Stats().Tenants {
 		if !ts.Active {
 			t.Fatalf("tenant %s not active at boot", ts.ID)
@@ -118,7 +117,7 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 		for op := 0; op < epochOps; op++ {
 			for _, i := range idxs {
 				addr := segs[i] + uint64(op%span)*PageSize
-				if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
+				if _, err := tenants[i].Touch(addr, op%3 == 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -132,10 +131,8 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	}
 
 	// Mid-run death: the survivors' windows must keep closing.
-	if err := h.SetTenantActive("dead", false); err != nil {
-		t.Fatal(err)
-	}
-	if h.TenantActive("dead") {
+	dead.SetActive(false)
+	if dead.Active() {
 		t.Fatal("deactivated tenant reported active")
 	}
 	drive(0, 1)
@@ -149,9 +146,7 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	}
 
 	// Reactivation (the late-boot analogue): the barrier waits for it again.
-	if err := h.SetTenantActive("dead", true); err != nil {
-		t.Fatal(err)
-	}
+	dead.SetActive(true)
 	drive(0, 1)
 	if got := epochs(); got != 2 {
 		t.Fatalf("epoch closed without the rebooted tenant: epochs = %d, want 2", got)
@@ -159,6 +154,70 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	drive(2)
 	if got := epochs(); got != 3 {
 		t.Fatalf("epochs after the rebooted tenant crossed = %d, want 3", got)
+	}
+}
+
+// A tenant deactivated after crossing the window boundary keeps the
+// snapshot it captured at the crossing: faults it takes between crossing
+// and deactivation belong to the next window, never to the one that closes.
+func TestHostTenantDeactivatedAfterCrossingKeepsSnapshot(t *testing.T) {
+	const epochOps = 8
+	const span = 64
+	mc := MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}
+	h, err := NewHost(HostConfig{
+		Tenants: []TenantSpec{
+			{ID: "slo", VM: mc, Policy: TenantPolicy{SLO: time.Millisecond}},
+			{ID: "b", VM: mc},
+		},
+		TotalLocalPages: 32, Seed: 1,
+		Arbiter: &ArbiterConfig{EpochOps: epochOps},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slo, b := h.Tenants()[0], h.Tenants()[1]
+	sloSeg, err := slo.Machine().Alloc("ws", span*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bSeg, err := b.Machine().Alloc("ws", span*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sloFaults := func() uint64 { return slo.Stats().Monitor.Faults }
+
+	// Each op touches a fresh page, so every op faults.
+	op := 0
+	touchSLO := func(n int) {
+		for ; n > 0; n-- {
+			if _, err := slo.Touch(sloSeg.Addr(uint64(op%span)*PageSize), false); err != nil {
+				t.Fatal(err)
+			}
+			op++
+		}
+	}
+	touchSLO(epochOps)
+	atCrossing := sloFaults()
+	if atCrossing == 0 {
+		t.Fatal("SLO tenant took no faults before crossing")
+	}
+	touchSLO(epochOps / 2) // past the boundary: next window's faults
+	if sloFaults() == atCrossing {
+		t.Fatal("SLO tenant took no faults after crossing")
+	}
+	slo.SetActive(false)
+
+	for i := 0; i < epochOps; i++ {
+		if _, err := b.Touch(bSeg.Addr(uint64(i)*PageSize), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := h.Stats()
+	if st.Arbiter.Epochs != 1 {
+		t.Fatalf("epochs = %d, want exactly 1", st.Arbiter.Epochs)
+	}
+	if got := st.Tenants[0].SLO; got.Windows != 1 || got.LastFaults != atCrossing {
+		t.Fatalf("SLO window = %+v, want 1 window with %d faults (the count at the crossing)", got, atCrossing)
 	}
 }
 
@@ -170,14 +229,14 @@ type hostSchedule func(t *testing.T, h *Host, round int, epochOps int, walk func
 
 func roundRobin(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *Host, int, int)) {
 	for op := 0; op < epochOps; op++ {
-		for i := 0; i < h.VMs(); i++ {
+		for i := range h.tenants {
 			walk(t, h, i, round*epochOps+op)
 		}
 	}
 }
 
 func blocked(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *Host, int, int)) {
-	for i := 0; i < h.VMs(); i++ {
+	for i := range h.tenants {
 		for op := 0; op < epochOps; op++ {
 			walk(t, h, i, round*epochOps+op)
 		}
@@ -185,9 +244,32 @@ func blocked(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *
 }
 
 func blockedReversed(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *Host, int, int)) {
-	for i := h.VMs() - 1; i >= 0; i-- {
+	for i := len(h.tenants) - 1; i >= 0; i-- {
 		for op := 0; op < epochOps; op++ {
 			walk(t, h, i, round*epochOps+op)
+		}
+	}
+}
+
+// hostWalk allocates a working set of spans[i] pages on tenant i and
+// returns the walk that drives it: op n of tenant i touches page n mod
+// spans[i], writing every third op.
+func hostWalk(t *testing.T, h *Host, spans []int) func(*testing.T, *Host, int, int) {
+	t.Helper()
+	tenants := h.Tenants()
+	segs := make([]uint64, len(tenants))
+	for i, tn := range tenants {
+		seg, err := tn.Machine().Alloc("ws", uint64(spans[i])*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = seg.Addr(0)
+	}
+	return func(t *testing.T, h *Host, i, op int) {
+		t.Helper()
+		addr := segs[i] + uint64(op%spans[i])*PageSize
+		if _, err := tenants[i].Touch(addr, op%3 == 0); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -198,22 +280,22 @@ func blockedReversed(t *testing.T, h *Host, round, epochOps int, walk func(*test
 func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched hostSchedule) *Host {
 	t.Helper()
 	const totalPages, epochOps, rounds = 64, 200, 6
-	vms := hostVMs(2)
+	specs := hostTenants(2)
 	if workers > 1 {
-		for i := range vms {
+		for i := range specs {
 			// The override replaces the whole monitor config, so it must
 			// start from the full default (NewMachine fills Store/capacity).
 			mc := core.DefaultConfig(nil, 0)
 			mc.Workers = workers
-			vms[i].Monitor = &mc
+			specs[i].VM.Monitor = &mc
 		}
 	}
 	if traced {
-		for i := range vms {
-			vms[i].Tracer = NewTracer(false)
+		for i := range specs {
+			specs[i].VM.Tracer = NewTracer(false)
 		}
 	}
-	cfg := HostConfig{VMs: vms, TotalLocalPages: totalPages, Seed: 42}
+	cfg := HostConfig{Tenants: specs, TotalLocalPages: totalPages, Seed: 42}
 	if withArbiter {
 		cfg.Arbiter = &ArbiterConfig{EpochOps: epochOps}
 	}
@@ -228,22 +310,7 @@ func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched ho
 	// vm0 cycles 40 pages (just past its 32-page split: every access misses
 	// under LRU and re-references at ghost depth 8 — a steep curve the
 	// arbiter can close); vm1 cycles 8 pages (fits: flat curve).
-	segs := make([]uint64, h.VMs())
-	spans := []int{40, 8}
-	for i := 0; i < h.VMs(); i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs[i] = seg.Addr(0)
-	}
-	walk := func(t *testing.T, h *Host, vmIdx, op int) {
-		t.Helper()
-		addr := segs[vmIdx] + uint64(op%spans[vmIdx])*PageSize
-		if _, err := h.Touch(vmIdx, addr, op%3 == 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	walk := hostWalk(t, h, []int{40, 8})
 	for r := 0; r < rounds; r++ {
 		sched(t, h, r, epochOps, walk)
 	}
@@ -284,9 +351,9 @@ func TestHostArbiterShiftsPagesToHotVM(t *testing.T) {
 func hostDecisionDigest(h *Host) []uint64 {
 	st := h.Stats()
 	var out []uint64
-	for i := 0; i < h.VMs(); i++ {
+	for i, tn := range h.tenants {
 		out = append(out, uint64(st.Shares[i]), uint64(st.WSSPages[i]),
-			h.Machine(i).Monitor().Hotset().Digest(),
+			tn.Machine().Monitor().Hotset().Digest(),
 			st.VMs[i].Monitor.Faults, st.VMs[i].Monitor.Evictions)
 	}
 	out = append(out, st.Arbiter.Epochs, st.Arbiter.Moves,
@@ -330,11 +397,12 @@ func TestHostTracedBitIdentical(t *testing.T) {
 	if plain.Now() != traced.Now() {
 		t.Fatalf("tracing moved the host clock: %v != %v", plain.Now(), traced.Now())
 	}
-	for i := 0; i < plain.VMs(); i++ {
-		if pn, tn := plain.Machine(i).Now(), traced.Machine(i).Now(); pn != tn {
+	for i, pt := range plain.tenants {
+		pm, tm := pt.Machine(), traced.tenants[i].Machine()
+		if pn, tn := pm.Now(), tm.Now(); pn != tn {
 			t.Fatalf("vm%d clock diverged under tracing: %v != %v", i, pn, tn)
 		}
-		ps, ts := plain.Machine(i).Stats(), traced.Machine(i).Stats()
+		ps, ts := pm.Stats(), tm.Stats()
 		if *ps.Monitor != *ts.Monitor {
 			t.Fatalf("vm%d monitor counters diverged: %+v != %+v", i, ps.Monitor, ts.Monitor)
 		}
@@ -344,7 +412,7 @@ func TestHostTracedBitIdentical(t *testing.T) {
 	}
 }
 
-// Without an arbiter the split stays static and NoteOp is free.
+// Without an arbiter the split stays static and Tenant.NoteOp is free.
 func TestHostStaticSplitStaysPut(t *testing.T) {
 	h := skewedHostRun(t, 1, false, false, roundRobin)
 	st := h.Stats()
@@ -359,14 +427,14 @@ func TestHostStaticSplitStaysPut(t *testing.T) {
 // Tenants share one store but must never share pages: full isolation via
 // distinct partitions, even with a shared registry.
 func TestHostTenantsIsolated(t *testing.T) {
-	h, err := NewHost(HostConfig{VMs: hostVMs(2), TotalLocalPages: 16, Seed: 9})
+	h, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	segs := make([]*Machine, 2)
 	addrs := make([]uint64, 2)
-	for i := 0; i < 2; i++ {
-		segs[i] = h.Machine(i)
+	for i, tn := range h.Tenants() {
+		segs[i] = tn.Machine()
 		seg, err := segs[i].Alloc("data", 32*PageSize)
 		if err != nil {
 			t.Fatal(err)

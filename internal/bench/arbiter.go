@@ -106,11 +106,12 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 	if withArbiter {
 		row.Variant = "arbiter"
 	}
-	vms := []fluidmem.MachineConfig{
-		{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20},
-		{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20},
+	vm := fluidmem.MachineConfig{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20}
+	hc := fluidmem.HostConfig{
+		Tenants:         []fluidmem.TenantSpec{{ID: "vm0", VM: vm}, {ID: "vm1", VM: vm}},
+		TotalLocalPages: cfg.TotalLocalPages,
+		Seed:            cfg.Seed,
 	}
-	hc := fluidmem.HostConfig{VMs: vms, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
 	if withArbiter {
 		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: cfg.EpochOps}
 	}
@@ -119,24 +120,24 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 		return row, err
 	}
 
+	tenants := h.Tenants()
 	spans := []int{cfg.HotSpan, cfg.ColdSpan}
-	segs := make([]uint64, h.VMs())
-	costs := make([]time.Duration, h.VMs())
-	for i := 0; i < h.VMs(); i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
+	segs := make([]uint64, len(tenants))
+	costs := make([]time.Duration, len(tenants))
+	for i, tn := range tenants {
+		seg, err := tn.Machine().Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
 		if err != nil {
 			return row, err
 		}
 		segs[i] = seg.Addr(0)
-		i := i
-		h.Machine(i).Monitor().SetFaultLatencySink(func(d time.Duration) { costs[i] += d })
+		tn.Machine().Monitor().SetFaultLatencySink(func(d time.Duration) { costs[i] += d })
 	}
 
 	for op := 0; op < cfg.Rounds*cfg.EpochOps; op++ {
-		for i := 0; i < h.VMs(); i++ {
+		for i, tn := range tenants {
 			addr := segs[i] + uint64(op%spans[i])*fluidmem.PageSize
-			if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
-				return row, fmt.Errorf("%s: vm%d op %d: %w", row.Variant, i, op, err)
+			if _, err := tn.Touch(addr, op%3 == 0); err != nil {
+				return row, fmt.Errorf("%s: %s op %d: %w", row.Variant, tn.ID(), op, err)
 			}
 		}
 	}

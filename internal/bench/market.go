@@ -144,7 +144,7 @@ type MarketVariantRow struct {
 	Variant string            `json:"variant"`
 	Tenants []MarketTenantRow `json:"tenants"`
 	// TotalFaultCost / TotalFaults aggregate across tenants; FaultsPerSec
-	// is the virtual-time fault throughput (ratchet row).
+	// is the virtual-time fault throughput.
 	TotalFaultCost time.Duration `json:"total_fault_cost_ns"`
 	TotalFaults    uint64        `json:"total_faults"`
 	FaultsPerSec   float64       `json:"faults_per_sec"`
@@ -204,20 +204,18 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 		return row, err
 	}
 
+	tenants := h.Tenants()
 	segs := make([]uint64, len(mix.tenants))
 	costs := make([]time.Duration, len(mix.tenants))
 	for i, def := range mix.tenants {
-		span := def.spans[0]
-		if def.spans[1] > span {
-			span = def.spans[1]
-		}
-		seg, err := h.Machine(i).Alloc("ws", uint64(span)*fluidmem.PageSize)
+		span := max(def.spans[0], def.spans[1])
+		m := tenants[i].Machine()
+		seg, err := m.Alloc("ws", uint64(span)*fluidmem.PageSize)
 		if err != nil {
 			return row, err
 		}
 		segs[i] = seg.Addr(0)
-		i := i
-		h.Machine(i).Monitor().SetFaultLatencySink(func(d time.Duration) { costs[i] += d })
+		m.Monitor().SetFaultLatencySink(func(d time.Duration) { costs[i] += d })
 	}
 
 	total := cfg.Rounds * cfg.EpochOps
@@ -228,7 +226,7 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 		}
 		for i, def := range mix.tenants {
 			addr := segs[i] + uint64(op%def.spans[phase])*fluidmem.PageSize
-			if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
+			if _, err := tenants[i].Touch(addr, op%3 == 0); err != nil {
 				return row, fmt.Errorf("%s/%s: tenant %s op %d: %w", mix.name, variant, def.id, op, err)
 			}
 		}

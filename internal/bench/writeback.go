@@ -26,9 +26,9 @@ type WritebackRow struct {
 	Throughput float64       `json:"faults_per_sec"`
 	// WallElapsed and WallThroughput measure the row in real (host) time —
 	// how fast the simulator itself retires faults. Machine-dependent, so
-	// excluded from the committed JSON artifact (the ratchet gates only the
-	// deterministic virtual rows); see EXPERIMENTS.md for the before/after
-	// recipe they support.
+	// excluded from the committed JSON artifact (which is pinned
+	// byte-for-byte, so it holds only deterministic virtual rows); see
+	// EXPERIMENTS.md for the before/after recipe they support.
 	WallElapsed    time.Duration `json:"-"`
 	WallThroughput float64       `json:"-"`
 	// StorePuts counts pages that actually crossed the wire (per-key puts,

@@ -120,6 +120,7 @@ type Report struct {
 type engineTenant struct {
 	scen    TenantScenario
 	idx     int
+	handle  *fluidmem.Tenant
 	base    uint64
 	gen     *keyGen
 	arr     *Arrivals
@@ -215,9 +216,10 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	handles := h.Tenants()
 	tenants := make([]*engineTenant, len(scen.Tenants))
 	for i, ts := range scen.Tenants {
-		seg, err := h.Machine(i).Alloc("openloop", uint64(ts.Keys.SpanPages)*fluidmem.PageSize)
+		seg, err := handles[i].Machine().Alloc("openloop", uint64(ts.Keys.SpanPages)*fluidmem.PageSize)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %s: %w", ts.ID, err)
 		}
@@ -230,10 +232,11 @@ func Run(cfg Config) (*Report, error) {
 			to = ts.Death
 		}
 		et := &engineTenant{
-			scen: ts,
-			idx:  i,
-			base: seg.Addr(0),
-			gen:  gen,
+			scen:   ts,
+			idx:    i,
+			handle: handles[i],
+			base:   seg.Addr(0),
+			gen:    gen,
 			arr: NewArrivals(ArrivalConfig{
 				Process: ts.Process,
 				Curve:   Scale(ts.Curve, scale),
@@ -242,8 +245,7 @@ func Run(cfg Config) (*Report, error) {
 			sojourn: &stats.Histogram{},
 		}
 		tenants[i] = et
-		i := i
-		h.Machine(i).Monitor().SetFaultLatencySink(func(d time.Duration) { tenants[i].cost += d })
+		handles[i].Machine().Monitor().SetFaultLatencySink(func(d time.Duration) { et.cost += d })
 	}
 
 	sched := clock.NewScheduler()
@@ -253,23 +255,13 @@ func Run(cfg Config) (*Report, error) {
 	// arrival scheduled for the same t (scheduler ties break on insertion
 	// sequence).
 	for i, ts := range scen.Tenants {
-		id := ts.ID
+		tn := handles[i]
 		if ts.Boot > 0 {
-			if err := h.SetTenantActive(id, false); err != nil {
-				return nil, err
-			}
-			sched.Schedule(ts.Boot, i, func(time.Duration) {
-				if runErr == nil {
-					runErr = h.SetTenantActive(id, true)
-				}
-			})
+			tn.SetActive(false)
+			sched.Schedule(ts.Boot, i, func(time.Duration) { tn.SetActive(true) })
 		}
 		if ts.Death > 0 && ts.Death < scen.Horizon {
-			sched.Schedule(ts.Death, i, func(time.Duration) {
-				if runErr == nil {
-					runErr = h.SetTenantActive(id, false)
-				}
-			})
+			sched.Schedule(ts.Death, i, func(time.Duration) { tn.SetActive(false) })
 		}
 	}
 
@@ -287,12 +279,12 @@ func Run(cfg Config) (*Report, error) {
 		}
 		et.queueSum += uint64(depth)
 
-		m := h.Machine(et.idx)
+		m := et.handle.Machine()
 		if idle := at - m.Now(); idle > 0 {
 			m.AdvanceCPU(idle) // server was idle until this arrival
 		}
 		page, write := et.gen.next()
-		if _, err := h.Touch(et.idx, et.base+uint64(page)*fluidmem.PageSize, write); err != nil {
+		if _, err := et.handle.Touch(et.base+uint64(page)*fluidmem.PageSize, write); err != nil {
 			runErr = fmt.Errorf("loadgen: tenant %s op at %v: %w", et.scen.ID, at, err)
 			return
 		}

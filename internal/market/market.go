@@ -98,7 +98,7 @@ type Lease struct {
 type Stats struct {
 	// Epochs counts Plan invocations. SLOEnforcedEpochs counts epochs in
 	// which at least one view carried an SLO target — the quantity bench-json
-	// refuses to ratchet at zero (a market run that never evaluated an SLO is
+	// refuses to commit at zero (a market run that never evaluated an SLO is
 	// a silent no-op, not a baseline).
 	Epochs            uint64
 	SLOEnforcedEpochs uint64
