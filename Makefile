@@ -104,9 +104,11 @@ openloop-oracle:
 	$(GO) test ./internal/loadgen/ -count=1 -timeout 120s -run 'TestSchedule|TestArrivals|TestRun|FuzzArrivalSchedule'
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
-# engine, the ghost-LRU working-set estimator, the cluster pool's rendezvous
-# key-routing invariants, and the open-loop arrival schedules' monotonicity
-# and split/merge invariance.
+# engine (its seed corpus included: in-flight retirement against the
+# full-scan reference, with out-of-order flush completions), the ghost-LRU
+# working-set estimator, the cluster pool's rendezvous key-routing
+# invariants, and the open-loop arrival schedules' monotonicity and
+# split/merge invariance.
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/hotset/ -run FuzzGhostLRU -fuzz FuzzGhostLRU -fuzztime=5s

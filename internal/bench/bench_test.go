@@ -62,7 +62,7 @@ func TestTable1MatchesPaperCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper's Table I averages in µs, with a ±25% acceptance band.
-	want := map[string]float64{
+	want := map[core.Op]float64{
 		core.OpUpdatePageCache: 2.56,
 		core.OpInsertPageHash:  2.58,
 		core.OpInsertLRUCache:  2.87,
@@ -73,7 +73,7 @@ func TestTable1MatchesPaperCalibration(t *testing.T) {
 		core.OpWritePage:       14.70,
 	}
 	for op, target := range want {
-		row, ok := res.Row(op)
+		row, ok := res.Row(op.String())
 		if !ok {
 			t.Fatalf("missing row %s", op)
 		}
@@ -83,7 +83,7 @@ func TestTable1MatchesPaperCalibration(t *testing.T) {
 		}
 	}
 	// UFFD_REMAP's defining feature: a TLB-shootdown p99 tail far above avg.
-	remap, _ := res.Row(core.OpUffdRemap)
+	remap, _ := res.Row(core.OpUffdRemap.String())
 	if remap.P99 < 4*remap.Avg {
 		t.Errorf("REMAP p99 (%v) lacks the shootdown tail (avg %v)", remap.P99, remap.Avg)
 	}

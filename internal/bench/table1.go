@@ -52,7 +52,7 @@ func RunTable1(opts Options) (*Table1Result, error) {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
 	res := &Table1Result{}
-	for _, op := range []string{
+	for _, op := range []core.Op{
 		core.OpUpdatePageCache,
 		core.OpInsertPageHash,
 		core.OpInsertLRUCache,
@@ -67,7 +67,7 @@ func RunTable1(opts Options) (*Table1Result, error) {
 			return nil, fmt.Errorf("table1: code path %s never exercised", op)
 		}
 		res.Rows = append(res.Rows, Table1Row{
-			CodePath: op,
+			CodePath: op.String(),
 			Avg:      s.Mean(),
 			Stdev:    s.Stdev(),
 			P99:      s.Percentile(99),

@@ -142,10 +142,11 @@ func TestFirstTouchAllocsBounded(t *testing.T) {
 		now = done
 		i++
 	})
-	// With the seen-set bitmap and pre-sized page-index maps the cold path
-	// measures 0.00 allocs/fault on a 64 Ki-page region; the bound of 2
-	// leaves room only for rare amortised growth (store-side table doubling),
-	// not for any per-fault allocation sneaking back in.
+	// With the seen bitmap and the chunked page tables (LRU slots, uffd
+	// pages: one chunk per table per 512 first touches) the cold path
+	// measures ~0.00 allocs/fault on a 64 Ki-page region; the bound of 2
+	// leaves room only for rare amortised growth (chunks, store-side table
+	// doubling), not for any per-fault allocation sneaking back in.
 	if avg > 2 {
 		t.Fatalf("first-touch fault allocates %.2f/fault, want <= 2", avg)
 	}

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"fluidmem/internal/core/resilience"
@@ -35,7 +34,7 @@ func (m *Monitor) RegisterRange(start, length uint64, pid int) (*uffd.Region, er
 	if err != nil {
 		return nil, fmt.Errorf("core: register region: %w", err)
 	}
-	m.seen.addRegion(start, length)
+	m.pages.addRegion(start, length, m.partitions[pid])
 	return region, nil
 }
 
@@ -61,8 +60,8 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 				m.epoch++
 			}
 			m.hot.Remove(addr)
-			if m.seen.has(addr) {
-				m.seen.del(addr)
+			if m.pages.has(addr) {
+				m.pages.del(addr)
 				key := kvstore.MakeKey(addr, part)
 				if m.tier != nil {
 					m.tier.drop(key)
@@ -78,7 +77,7 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 			}
 		}
 		m.fd.Unregister(region)
-		m.seen.dropRegion(region.Start)
+		m.pages.dropRegion(region.Start)
 	}
 	delete(m.partitions, pid)
 	if err := m.registry.Release(part); err != nil && firstErr == nil {
@@ -98,8 +97,8 @@ func (m *Monitor) Discard(addr uint64) {
 	// later first touch of the same address would register as a re-reference
 	// and inflate the working-set estimate.
 	m.hot.Remove(addr)
-	if m.seen.has(addr) {
-		m.seen.del(addr)
+	if m.pages.has(addr) {
+		m.pages.del(addr)
 		if region := m.regionOf(addr); region != nil {
 			if part, ok := m.partitions[region.PID]; ok {
 				// Asynchronous tombstone; timing is off any critical path.
@@ -193,14 +192,10 @@ func (m *Monitor) Workers() int { return m.workers }
 
 // ResidentAddrs returns the sorted addresses of all currently resident
 // pages — a stable snapshot for equivalence harnesses (shardtest): two
-// monitors are resident-set-equal iff these slices are equal.
+// monitors are resident-set-equal iff these slices are equal. The page
+// table is walked in address order, so no sort is needed.
 func (m *Monitor) ResidentAddrs() []uint64 {
-	addrs := make([]uint64, 0, len(m.lru.index))
-	for addr := range m.lru.index {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
+	return m.pages.appendNodes(make([]uint64, 0, m.lru.Len()))
 }
 
 // Profiler exposes the per-code-path latency profiler (§VI-C).

@@ -36,10 +36,10 @@ func (m *Monitor) cell(addr uint64) *Stats {
 // record charges one profiled monitor operation to both the Table-I
 // profiler and the tracer's per-(phase, worker) latency histogram, with the
 // worker attributed by the page address that caused the work.
-func (m *Monitor) record(op string, addr uint64, d time.Duration) {
+func (m *Monitor) record(op Op, addr uint64, d time.Duration) {
 	m.prof.Record(op, d)
 	if m.tr != nil {
-		m.tr.Observe(op, m.workerOf(addr), d)
+		m.tr.Observe(op.String(), m.workerOf(addr), d)
 	}
 }
 
@@ -95,10 +95,13 @@ func (m *Monitor) Touch(now time.Duration, addr uint64, write bool) ([]byte, tim
 // which the faulting vCPU resumes.
 func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Duration, error) {
 	m.cell(ev.Addr).Faults++
-	part, ok := m.partitions[ev.PID]
-	if !ok {
+	// The page table's region carries the VM's partition: a registered
+	// region always has one (RegisterRange allocates it first).
+	region := m.pages.find(ev.Addr)
+	if region == nil {
 		return eventAt, fmt.Errorf("%w: %d", ErrUnknownPID, ev.PID)
 	}
+	part := region.part
 	m.hot.Fault(ev.Addr)
 	// Handling starts when the fault's worker is free: the pipeline shards
 	// by page address, so a fault queues only behind its own worker.
@@ -115,7 +118,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 	t += hashCost
 
 	key := kvstore.MakeKey(ev.Addr, part)
-	if !m.seen.has(ev.Addr) && m.cfg.PageTracker {
+	if !m.pages.has(ev.Addr) && m.cfg.PageTracker {
 		resumeAt, err := m.resolveFirstTouch(t, ev)
 		m.traceFault(ev, eventAt, resumeAt, "first_touch", err)
 		return resumeAt, err
@@ -145,7 +148,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 // needed, happens after the wake-up, off the critical path (Figure 2).
 func (m *Monitor) resolveFirstTouch(t time.Duration, ev uffd.Event) (time.Duration, error) {
 	m.cell(ev.Addr).FirstTouch++
-	m.seen.add(ev.Addr)
+	m.pages.add(ev.Addr)
 	return m.zeroFill(t, ev)
 }
 
@@ -513,15 +516,11 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		return t, nil
 	}
 
-	region := m.regionOf(victim)
+	region := m.pages.find(victim)
 	if region == nil {
 		return t, fmt.Errorf("core: evicted page %#x has no region", victim)
 	}
-	part, ok := m.partitions[region.PID]
-	if !ok {
-		return t, fmt.Errorf("%w: %d", ErrUnknownPID, region.PID)
-	}
-	key := kvstore.MakeKey(victim, part)
+	key := kvstore.MakeKey(victim, region.part)
 
 	if m.cfg.ElideZeroPages {
 		scanCost := m.cfg.MonitorOps.ZeroScan.Sample(m.rng)

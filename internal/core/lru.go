@@ -21,11 +21,15 @@ package core
 //
 // The list is intrusive and pooled: nodes removed by eviction go on a
 // freelist and are reused by the next insert, so the steady-state fault
-// path (evict one, insert one) allocates nothing.
+// path (evict one, insert one) allocates nothing. A page's node is found
+// through the monitor's page table (pagetable.go), one slot per page of a
+// registered region, so membership tests are an index rather than a hash
+// probe.
 type lruList struct {
 	shards  []lruShard
 	idx     shardIndexer
-	index   map[uint64]*lruNode
+	pages   *pageTable
+	n       int      // tracked pages across all segments
 	free    *lruNode // freelist threaded through next
 	nextSeq uint64
 }
@@ -42,31 +46,20 @@ type lruShard struct {
 	head, tail *lruNode
 }
 
-// newShardedLRU returns an empty list split into the given number of
-// segments (minimum one), sharded by page number.
-func newShardedLRU(shards int) *lruList { return newShardedLRUCap(shards, 0) }
-
-// newShardedLRUCap additionally pre-sizes the page index for the given
-// capacity, so a monitor whose resident set grows to its configured LRU
-// capacity never pays map-growth allocations on the fault path.
-func newShardedLRUCap(shards, capacity int) *lruList {
+// newLRU returns an empty list split into the given number of segments
+// (minimum one), sharded by page number, whose nodes are indexed by the
+// given page table (the monitor's, shared with its seen bits). Only pages
+// of the table's regions can be inserted.
+func newLRU(shards int, pages *pageTable) *lruList {
 	if shards < 1 {
 		shards = 1
-	}
-	if capacity < 0 {
-		capacity = 0
 	}
 	return &lruList{
 		shards: make([]lruShard, shards),
 		idx:    newShardIndexer(shards),
-		// +1: Insert runs before the evict loop brings Len back under
-		// capacity, so the index briefly holds capacity+1 entries.
-		index: make(map[uint64]*lruNode, capacity+1),
+		pages:  pages,
 	}
 }
-
-// newLRUList returns the single-segment (serial monitor) list.
-func newLRUList() *lruList { return newShardedLRU(1) }
 
 // shardOf maps a page address to its segment.
 func (l *lruList) shardOf(addr uint64) *lruShard {
@@ -74,7 +67,7 @@ func (l *lruList) shardOf(addr uint64) *lruShard {
 }
 
 // Len reports tracked pages across all segments.
-func (l *lruList) Len() int { return len(l.index) }
+func (l *lruList) Len() int { return l.n }
 
 // getNode pops a recycled node or allocates one.
 func (l *lruList) getNode() *lruNode {
@@ -90,7 +83,7 @@ func (l *lruList) getNode() *lruNode {
 // Inserting an address already present is a bug in the monitor and panics
 // loudly.
 func (l *lruList) Insert(addr uint64) {
-	if _, ok := l.index[addr]; ok {
+	if l.pages.node(addr) != nil {
 		panic("core: page already in LRU list")
 	}
 	l.nextSeq++
@@ -105,13 +98,13 @@ func (l *lruList) Insert(addr uint64) {
 		s.head = n
 	}
 	s.tail = n
-	l.index[addr] = n
+	l.pages.setNode(addr, n)
+	l.n++
 }
 
 // Contains reports membership.
 func (l *lruList) Contains(addr uint64) bool {
-	_, ok := l.index[addr]
-	return ok
+	return l.pages.node(addr) != nil
 }
 
 // Oldest returns the eviction candidate: the entry with the globally
@@ -135,8 +128,8 @@ func (l *lruList) Oldest() (uint64, bool) {
 // Remove deletes addr, reporting whether it was present. The node goes on
 // the freelist for reuse.
 func (l *lruList) Remove(addr uint64) bool {
-	n, ok := l.index[addr]
-	if !ok {
+	n := l.pages.node(addr)
+	if n == nil {
 		return false
 	}
 	s := l.shardOf(addr)
@@ -150,7 +143,8 @@ func (l *lruList) Remove(addr uint64) bool {
 	} else {
 		s.tail = n.prev
 	}
-	delete(l.index, addr)
+	l.pages.setNode(addr, nil)
+	l.n--
 	*n = lruNode{next: l.free}
 	l.free = n
 	return true

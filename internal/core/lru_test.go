@@ -6,15 +6,33 @@ import (
 	"time"
 )
 
+// testLRUPages is the number of pages, from address 0, that the test
+// lists' page table covers: every page number a uint16 can name.
+const testLRUPages = 1 << 16
+
+// newShardedLRU returns an empty list of the given width over a page table
+// with one region covering the test address space.
+func newShardedLRU(shards int) *lruList {
+	pt := newPageTable()
+	pt.addRegion(0, testLRUPages*PageSize, 1)
+	return newLRU(shards, pt)
+}
+
+// newLRUList returns the single-segment (serial monitor) list.
+func newLRUList() *lruList { return newShardedLRU(1) }
+
+// pg is the address of page n.
+func pg(n uint64) uint64 { return n * PageSize }
+
 func TestLRUInsertOldest(t *testing.T) {
 	l := newLRUList()
 	if _, ok := l.Oldest(); ok {
 		t.Fatal("empty list has an oldest entry")
 	}
-	l.Insert(10)
-	l.Insert(20)
-	l.Insert(30)
-	if got, _ := l.Oldest(); got != 10 {
+	l.Insert(pg(10))
+	l.Insert(pg(20))
+	l.Insert(pg(30))
+	if got, _ := l.Oldest(); got != pg(10) {
 		t.Fatalf("Oldest = %d", got)
 	}
 	if l.Len() != 3 {
@@ -24,15 +42,15 @@ func TestLRUInsertOldest(t *testing.T) {
 
 func TestLRURemove(t *testing.T) {
 	l := newLRUList()
-	l.Insert(1)
-	l.Insert(2)
-	if !l.Remove(1) {
-		t.Fatal("Remove(1) = false")
+	l.Insert(pg(1))
+	l.Insert(pg(2))
+	if !l.Remove(pg(1)) {
+		t.Fatal("Remove(pg(1)) = false")
 	}
-	if l.Remove(1) {
+	if l.Remove(pg(1)) {
 		t.Fatal("double remove succeeded")
 	}
-	if got, _ := l.Oldest(); got != 2 {
+	if got, _ := l.Oldest(); got != pg(2) {
 		t.Fatalf("Oldest = %d", got)
 	}
 }
@@ -44,14 +62,14 @@ func TestLRUDoubleInsertPanics(t *testing.T) {
 		}
 	}()
 	l := newLRUList()
-	l.Insert(1)
-	l.Insert(1)
+	l.Insert(pg(1))
+	l.Insert(pg(1))
 }
 
 func TestLRUContains(t *testing.T) {
 	l := newLRUList()
-	l.Insert(7)
-	if !l.Contains(7) || l.Contains(8) {
+	l.Insert(pg(7))
+	if !l.Contains(pg(7)) || l.Contains(pg(8)) {
 		t.Fatal("Contains wrong")
 	}
 }
@@ -197,7 +215,7 @@ func TestLRUFIFOOrderProperty(t *testing.T) {
 		var inserted []uint64
 		seen := make(map[uint64]bool)
 		for _, r := range raw {
-			a := uint64(r)
+			a := pg(uint64(r))
 			if seen[a] {
 				continue
 			}
@@ -217,4 +235,17 @@ func TestLRUFIFOOrderProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestLRUInsertOutsideRegionPanics(t *testing.T) {
+	l := newLRUList()
+	if l.Contains(pg(testLRUPages)) || l.Remove(pg(testLRUPages)) {
+		t.Fatal("a page outside every region reported as in the list")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("insert outside every region did not panic")
+		}
+	}()
+	l.Insert(pg(testLRUPages))
 }

@@ -86,13 +86,13 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 			}
 		}
 		for addr := region.Start; addr < region.End(); addr += PageSize {
-			if m.seen.has(addr) {
+			if m.pages.has(addr) {
 				img.Seen = append(img.Seen, addr)
-				m.seen.del(addr)
+				m.pages.del(addr)
 			}
 		}
 		m.fd.Unregister(region)
-		m.seen.dropRegion(region.Start)
+		m.pages.dropRegion(region.Start)
 	}
 	// Pages parked in the compressed tier must also reach the store: the
 	// destination hypervisor cannot see this machine's local pool.
@@ -128,10 +128,10 @@ func (m *Monitor) ImportVM(now time.Duration, img *VMImage) (time.Duration, erro
 		if _, err := m.fd.Register(r.Start, r.Length, img.PID); err != nil {
 			return now, fmt.Errorf("core: import register: %w", err)
 		}
-		m.seen.addRegion(r.Start, r.Length)
+		m.pages.addRegion(r.Start, r.Length, img.Partition)
 	}
 	for _, addr := range img.Seen {
-		m.seen.add(addr)
+		m.pages.add(addr)
 	}
 	// Metadata transfer cost: the seen set and region table cross the wire.
 	now += transferCost(img.MetadataBytes())

@@ -102,10 +102,12 @@ type Monitor struct {
 	// nil (the default) disables it with no behavioural difference.
 	hot *hotset.Tracker
 
-	lru  *lruList
-	seen *seenSet
-	wb   *writeback
-	tier *compressedTier // nil unless cfg.Compress is set
+	// pages is the per-region page table: seen bits plus the LRU's node
+	// slots (pagetable.go); lru indexes its nodes through it.
+	pages *pageTable
+	lru   *lruList
+	wb    *writeback
+	tier  *compressedTier // nil unless cfg.Compress is set
 
 	registry     kvstore.Registry
 	hypervisorID string
@@ -187,9 +189,7 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	}
 	fd := uffd.New(cfg.UFFD, cfg.Seed)
 	fd.SetTracer(cfg.Trace, workers)
-	// A region's page map holds resident pages only; +1 covers the transient
-	// overshoot between install and the post-wake evict loop.
-	fd.SetPageHint(cfg.LRUCapacity + 1)
+	pages := newPageTable()
 	m := &Monitor{
 		storeLocal:   local,
 		resilient:    res,
@@ -204,8 +204,8 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		workerFree:   make([]time.Duration, workers),
 		shardIdx:     newShardIndexer(workers),
 		statsCells:   make([]Stats, workers),
-		lru:          newShardedLRUCap(workers, cfg.LRUCapacity),
-		seen:         newSeenSet(),
+		pages:        pages,
+		lru:          newLRU(workers, pages),
 		wb:           newShardedWriteback(cfg.Store, cfg.WriteBatchSize, workers, cfg.Trace),
 		registry:     registry,
 		hypervisorID: hypervisorID,

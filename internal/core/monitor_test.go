@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -427,7 +428,7 @@ func TestProfilerRecordsTableIOps(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []string{
+	for _, op := range []Op{
 		OpInsertPageHash, OpInsertLRUCache, OpUffdZeroPage,
 		OpUffdRemap, OpUffdCopy, OpReadPage, OpWritePage, OpUpdatePageCache,
 	} {
@@ -583,5 +584,40 @@ func TestStoreKeysUseVMPartition(t *testing.T) {
 	key := kvstore.MakeKey(addr(0), part)
 	if _, _, err := store.Get(now, key); err != nil {
 		t.Fatalf("page not under partitioned key: %v", err)
+	}
+}
+
+// TestResidentAddrsSortedAcrossRegions registers a VM's ranges high before
+// low and a second VM's range between them: ResidentAddrs must still come
+// back in ascending address order, and a region's pages must leave the
+// snapshot with its VM.
+func TestResidentAddrsSortedAcrossRegions(t *testing.T) {
+	m := newMonitor(t, dramCfg(64), 8) // pid 4242 at testBase
+	low, mid := uint64(testBase-64*PageSize), uint64(testBase-32*PageSize)
+	if _, err := m.RegisterRange(low, 8*PageSize, 4242); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterRange(mid, 8*PageSize, 7); err != nil {
+		t.Fatal(err)
+	}
+	touches := []uint64{addr(3), low + 5*PageSize, mid + PageSize, addr(0), low}
+	var now time.Duration
+	for _, a := range touches {
+		_, done, err := m.Touch(now, a, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	want := []uint64{low, low + 5*PageSize, mid + PageSize, addr(0), addr(3)}
+	if got := m.ResidentAddrs(); !slices.Equal(got, want) {
+		t.Fatalf("ResidentAddrs = %#x, want %#x", got, want)
+	}
+	if _, err := m.UnregisterVM(now, 7); err != nil {
+		t.Fatal(err)
+	}
+	want = slices.Delete(want, 2, 3)
+	if got := m.ResidentAddrs(); !slices.Equal(got, want) || m.ResidentPages() != len(want) {
+		t.Fatalf("after unregister: ResidentAddrs = %#x (%d resident), want %#x", got, m.ResidentPages(), want)
 	}
 }

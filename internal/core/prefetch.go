@@ -48,7 +48,7 @@ func (m *Monitor) gatherPrefetch(now time.Duration, addr uint64, part kvstore.Pa
 		if next >= region.End() {
 			break
 		}
-		if !m.seen.has(next) || m.lru.Contains(next) {
+		if !m.pages.has(next) || m.lru.Contains(next) {
 			continue
 		}
 		c := prefetchCandidate{addr: next, key: kvstore.MakeKey(next, part)}

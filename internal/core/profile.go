@@ -3,42 +3,49 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"fluidmem/internal/stats"
 )
 
-// Op names match the paper's Table I code paths.
+// Op identifies one profiled monitor code path. The values run in Table
+// I's row order, so a Profiler indexes its accumulators by Op directly and
+// Table walks them in that order; String returns the paper's row name.
+type Op uint8
+
+// The paper's Table I code paths, then the write-back engine extensions
+// (not Table I rows): the eviction-path zero scan and the clean-tracking
+// write-protect ioctl.
 const (
-	OpUpdatePageCache = "UPDATE_PAGE_CACHE"
-	OpInsertPageHash  = "INSERT_PAGE_HASH_NODE"
-	OpInsertLRUCache  = "INSERT_LRU_CACHE_NODE"
-	OpUffdZeroPage    = "UFFD_ZEROPAGE"
-	OpUffdRemap       = "UFFD_REMAP"
-	OpUffdCopy        = "UFFD_COPY"
-	OpReadPage        = "READ_PAGE"
-	OpWritePage       = "WRITE_PAGE"
-	// Write-back engine extensions (not Table I rows): the eviction-path
-	// zero scan and the clean-tracking write-protect ioctl.
-	OpZeroScan         = "ZERO_SCAN"
-	OpUffdWriteProtect = "UFFD_WRITEPROTECT"
+	OpUpdatePageCache Op = iota
+	OpInsertPageHash
+	OpInsertLRUCache
+	OpUffdZeroPage
+	OpUffdRemap
+	OpUffdCopy
+	OpReadPage
+	OpWritePage
+	OpZeroScan
+	OpUffdWriteProtect
+	numOps
 )
 
-// profileOrder is Table I's row order.
-var profileOrder = []string{
-	OpUpdatePageCache,
-	OpInsertPageHash,
-	OpInsertLRUCache,
-	OpUffdZeroPage,
-	OpUffdRemap,
-	OpUffdCopy,
-	OpReadPage,
-	OpWritePage,
-	OpZeroScan,
-	OpUffdWriteProtect,
+var opNames = [numOps]string{
+	OpUpdatePageCache:  "UPDATE_PAGE_CACHE",
+	OpInsertPageHash:   "INSERT_PAGE_HASH_NODE",
+	OpInsertLRUCache:   "INSERT_LRU_CACHE_NODE",
+	OpUffdZeroPage:     "UFFD_ZEROPAGE",
+	OpUffdRemap:        "UFFD_REMAP",
+	OpUffdCopy:         "UFFD_COPY",
+	OpReadPage:         "READ_PAGE",
+	OpWritePage:        "WRITE_PAGE",
+	OpZeroScan:         "ZERO_SCAN",
+	OpUffdWriteProtect: "UFFD_WRITEPROTECT",
 }
+
+// String returns the code path's Table I name.
+func (o Op) String() string { return opNames[o] }
 
 // Histogram geometry for OpProfile percentiles: fixed-width buckets sized
 // for Table I's microsecond-scale code paths, with an overflow bucket whose
@@ -151,25 +158,25 @@ func (o *OpProfile) Percentile(p float64) time.Duration {
 // Profiler records per-code-path latencies, reproducing FluidMem's built-in
 // ability to profile individual components of the fault path (§VI-C). Each
 // code path's accumulator is allocated on its first observation; recording
-// after that is allocation-free, so the profiler may stay enabled on the
-// data plane's hot path.
+// after that is an array index and allocation-free, so the profiler may stay
+// enabled on the data plane's hot path.
 type Profiler struct {
 	enabled bool
-	samples map[string]*OpProfile
+	samples [numOps]*OpProfile
 }
 
 // NewProfiler returns a profiler; when disabled, Record is a no-op.
 func NewProfiler(enabled bool) *Profiler {
-	return &Profiler{enabled: enabled, samples: make(map[string]*OpProfile)}
+	return &Profiler{enabled: enabled}
 }
 
 // Record logs one op taking d.
-func (p *Profiler) Record(op string, d time.Duration) {
+func (p *Profiler) Record(op Op, d time.Duration) {
 	if !p.enabled {
 		return
 	}
-	o, ok := p.samples[op]
-	if !ok {
+	o := p.samples[op]
+	if o == nil {
 		o = &OpProfile{}
 		p.samples[op] = o
 	}
@@ -177,32 +184,19 @@ func (p *Profiler) Record(op string, d time.Duration) {
 }
 
 // Sample returns the profile for op, or nil if never recorded.
-func (p *Profiler) Sample(op string) *OpProfile { return p.samples[op] }
+func (p *Profiler) Sample(op Op) *OpProfile { return p.samples[op] }
 
-// Table renders the Table I layout: avg / stdev / p99 per code path.
+// Table renders the Table I layout: avg / stdev / p99 per code path, in
+// Table I's row order.
 func (p *Profiler) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %8s %8s %8s %10s\n", "Code path", "Avg", "Stdev", "99th", "n")
-	rows := make([]string, 0, len(p.samples))
-	seen := make(map[string]bool)
-	for _, op := range profileOrder {
-		if p.samples[op] != nil {
-			rows = append(rows, op)
-			seen[op] = true
+	for op, s := range p.samples {
+		if s == nil {
+			continue
 		}
-	}
-	var extra []string
-	for op := range p.samples {
-		if !seen[op] {
-			extra = append(extra, op)
-		}
-	}
-	sort.Strings(extra)
-	rows = append(rows, extra...)
-	for _, op := range rows {
-		s := p.samples[op]
 		fmt.Fprintf(&b, "%-24s %8.2f %8.2f %8.2f %10d\n",
-			op, stats.Micros(s.Mean()), stats.Micros(s.Stdev()), stats.Micros(s.Percentile(99)), s.Len())
+			Op(op), stats.Micros(s.Mean()), stats.Micros(s.Stdev()), stats.Micros(s.Percentile(99)), s.Len())
 	}
 	return b.String()
 }

@@ -83,6 +83,13 @@ type writeback struct {
 	// flush is one store-level MultiPut regardless of which shards fed it,
 	// so completion tracking stays global.
 	inflight map[kvstore.Key]time.Duration
+	// landings retires inflight in completion order: one entry per flush,
+	// kept sorted by done from landings[lhead] on, so gc touches only the
+	// flushes that have landed, whatever the in-flight count. Retired
+	// landings go back to freeLandings with their key buffers.
+	landings     []*landing
+	lhead        int
+	freeLandings []*landing
 
 	flushes      uint64
 	flushedPages uint64
@@ -92,6 +99,13 @@ type writeback struct {
 	zeroMarks    uint64
 	// flushSizes histograms MultiPut batch sizes (batch size -> count).
 	flushSizes map[int]uint64
+}
+
+// landing is one flush's completion record: every key it carried lands at
+// done.
+type landing struct {
+	done time.Duration
+	keys []kvstore.Key
 }
 
 // WritebackStats is the engine's counter snapshot (operator/bench surface).
@@ -121,9 +135,6 @@ func newShardedWriteback(store kvstore.Store, batchSize, shards int, tr *trace.T
 	if shards < 1 {
 		shards = 1
 	}
-	// Queues hold at most ~batchSize entries between flushes, the inflight
-	// table at most one flush's worth plus stragglers: pre-sizing both keeps
-	// map growth off the steady-state fault path.
 	w := &writeback{
 		store:      store,
 		batchSize:  batchSize,
@@ -250,6 +261,7 @@ func (w *writeback) Flush(now time.Duration) error {
 	if w.tr != nil {
 		w.tr.Emit(trace.EvFlush, 0, 0, now, done-now, strconv.Itoa(len(batch)))
 	}
+	w.addLanding(done, keys)
 	for _, pw := range batch {
 		delete(w.shardOf(pw.key), pw.key)
 		w.inflight[pw.key] = done
@@ -407,15 +419,72 @@ func (w *writeback) Drain(now time.Duration) (time.Duration, error) {
 			latest = done
 		}
 	}
-	w.inflight = make(map[kvstore.Key]time.Duration, 2*w.batchSize)
+	clear(w.inflight)
+	for _, l := range w.landings[w.lhead:] {
+		w.putLanding(l)
+	}
+	clear(w.landings)
+	w.landings, w.lhead = w.landings[:0], 0
 	return latest, nil
 }
 
-// gc retires inflight records whose writes completed before now.
+// addLanding records that keys land at done. Store completion times are not
+// monotone across flushes (cluster and resilience stores reorder them), so
+// the landing is inserted at its sorted position; equal times keep flush
+// order. The key buffer is copied into a pooled landing.
+func (w *writeback) addLanding(done time.Duration, keys []kvstore.Key) {
+	var l *landing
+	if n := len(w.freeLandings); n > 0 {
+		l = w.freeLandings[n-1]
+		w.freeLandings = w.freeLandings[:n-1]
+	} else {
+		l = &landing{}
+	}
+	l.done = done
+	l.keys = append(l.keys[:0], keys...)
+	// Reclaim the retired prefix before the slice would have to grow, so a
+	// bounded number of flushes in flight never reallocates it.
+	if w.lhead > 0 && len(w.landings) == cap(w.landings) {
+		n := copy(w.landings, w.landings[w.lhead:])
+		clear(w.landings[n:])
+		w.landings, w.lhead = w.landings[:n], 0
+	}
+	w.landings = append(w.landings, l)
+	i := len(w.landings) - 1
+	for i > w.lhead && w.landings[i-1].done > done {
+		w.landings[i] = w.landings[i-1]
+		i--
+	}
+	w.landings[i] = l
+}
+
+// putLanding returns a retired landing to the pool.
+func (w *writeback) putLanding(l *landing) {
+	l.keys = l.keys[:0]
+	w.freeLandings = append(w.freeLandings, l)
+}
+
+// gc retires inflight records whose writes completed by now: it pops the
+// landed flushes off the front of the completion-ordered queue and deletes
+// each of their keys whose record is still landed. A key re-flushed since
+// carries a later flush's time and is left for that flush's landing. After
+// gc(now), inflight holds exactly the records with done > now.
 func (w *writeback) gc(now time.Duration) {
-	for key, done := range w.inflight {
-		if done <= now {
-			delete(w.inflight, key)
+	for w.lhead < len(w.landings) {
+		l := w.landings[w.lhead]
+		if l.done > now {
+			break
 		}
+		for _, key := range l.keys {
+			if done, ok := w.inflight[key]; ok && done <= now {
+				delete(w.inflight, key)
+			}
+		}
+		w.landings[w.lhead] = nil
+		w.lhead++
+		w.putLanding(l)
+	}
+	if w.lhead == len(w.landings) {
+		w.landings, w.lhead = w.landings[:0], 0
 	}
 }

@@ -193,8 +193,14 @@ func (sc *sliceCurve) cum(t time.Duration) float64 {
 // invCum finds the earliest nanosecond t in (lo, hi] with CumOps(t) >=
 // target by bisection over integer nanoseconds. Only probes strictly inside
 // the certified bracket (a, b) evaluate CumOps; the rest decide as it would.
+// When the bracket has closed to adjacent nanoseconds (the common case) no
+// probe is left to evaluate: every mid ≤ a goes low and every mid ≥ b goes
+// high, so the bisection would end at hi = b, which is returned directly.
 func invCum(sc *sliceCurve, target float64) time.Duration {
 	a, b := sc.bracket(target)
+	if b == a+1 {
+		return b
+	}
 	lo, hi := sc.lo, sc.hi
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fluidmem/internal/clock"
+	"fluidmem/internal/pagetab"
 	"fluidmem/internal/trace"
 )
 
@@ -118,13 +119,22 @@ type page struct {
 }
 
 // Region is one registered memory range belonging to one process.
+//
+// Its page table is indexed by (addr-Start)/PageSize: pages holds the
+// page's frame, nil while it is missing, and waiting holds one bit per page
+// for a vCPU blocked on it. The frame slots are allocated a 512-page chunk
+// at a time on the first install into the chunk (8 B per page of each
+// touched chunk), so every page operation is an index, with no hashing on
+// the fault path, and an untouched stretch of guest memory costs nothing.
 type Region struct {
 	Start  uint64
 	Length uint64
 	PID    int
 
-	fd    *FD
-	pages map[uint64]*page
+	fd      *FD
+	pages   pagetab.Table[*page]
+	mapped  int
+	waiting []uint64
 }
 
 // End returns the first address past the region.
@@ -135,10 +145,20 @@ func (r *Region) contains(addr uint64) bool {
 	return addr >= r.Start && addr < r.End()
 }
 
-// State reports the page state at addr (PageMissing if never touched).
+// lookup returns the page mapped at addr, which must lie in the region, or
+// nil if it is missing.
+func (r *Region) lookup(addr uint64) *page {
+	return r.pages.Get((addr - r.Start) / PageSize)
+}
+
+// State reports the page state at addr: PageMissing if never touched or if
+// addr lies outside the region.
 func (r *Region) State(addr uint64) PageState {
-	p, ok := r.pages[align(addr)]
-	if !ok {
+	if !r.contains(addr) {
+		return PageMissing
+	}
+	p := r.lookup(addr)
+	if p == nil {
 		return PageMissing
 	}
 	return p.state
@@ -146,7 +166,40 @@ func (r *Region) State(addr uint64) PageState {
 
 // MappedPages counts pages currently resident (zero-COW or present). This is
 // the VM's local memory footprint, the quantity Table III minimises.
-func (r *Region) MappedPages() int { return len(r.pages) }
+func (r *Region) MappedPages() int { return r.mapped }
+
+// install maps p at addr, whose page must be missing.
+func (r *Region) install(addr uint64, p *page) {
+	r.pages.Set((addr-r.Start)/PageSize, p)
+	r.mapped++
+}
+
+// unmap makes addr's page missing and returns the page it held (nil if it
+// was missing already).
+func (r *Region) unmap(addr uint64) *page {
+	p := r.lookup(addr)
+	if p != nil {
+		r.pages.Set((addr-r.Start)/PageSize, nil)
+		r.mapped--
+	}
+	return p
+}
+
+// waitBit returns addr's word and bit in the waiting bitmap.
+func (r *Region) waitBit(addr uint64) (*uint64, uint64) {
+	i := (addr - r.Start) / PageSize
+	return &r.waiting[i/64], 1 << (i % 64)
+}
+
+// setWaiting records whether a vCPU is blocked on addr.
+func (r *Region) setWaiting(addr uint64, on bool) {
+	word, bit := r.waitBit(addr)
+	if on {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
+}
 
 // FD is the simulated userfaultfd descriptor: the monitor process polls it
 // for fault events and resolves them with page operations.
@@ -168,8 +221,6 @@ type FD struct {
 	qHead int
 	qLen  int
 
-	// waiting tracks faulted addresses whose vCPU is blocked until Wake.
-	waiting map[uint64]bool
 	// wpFaults counts write-protect faults taken (dirty-tracking traffic).
 	wpFaults uint64
 
@@ -181,17 +232,13 @@ type FD struct {
 	// to its fault-pipeline worker by the monitor's page-address shard.
 	tr        *trace.Tracer
 	trWorkers int
-
-	// pageHint pre-sizes each region's resident-page map (see SetPageHint).
-	pageHint int
 }
 
 // New returns a descriptor with the given service-time parameters.
 func New(params Params, seed uint64) *FD {
 	return &FD{
-		params:  params,
-		rng:     clock.NewRand(seed),
-		waiting: make(map[uint64]bool),
+		params: params,
+		rng:    clock.NewRand(seed),
 	}
 }
 
@@ -269,17 +316,6 @@ func (f *FD) SetTracer(tr *trace.Tracer, workers int) {
 	f.trWorkers = workers
 }
 
-// SetPageHint pre-sizes the resident-page map of regions registered from now
-// on. A region's map holds only resident pages — bounded by the monitor's
-// LRU capacity, not the region size — so sizing it up front removes the map
-// growth a fresh region pays as the working set warms.
-func (f *FD) SetPageHint(pages int) {
-	if pages < 0 {
-		pages = 0
-	}
-	f.pageHint = pages
-}
-
 // traceWorker is the fault-pipeline worker owning addr.
 func (f *FD) traceWorker(addr uint64) int {
 	if f.trWorkers < 1 {
@@ -301,13 +337,19 @@ func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 			return nil, fmt.Errorf("uffd: region [%#x,+%#x) overlaps [%#x,+%#x)", start, length, r.Start, r.Length)
 		}
 	}
-	region := &Region{Start: start, Length: length, PID: pid, fd: f, pages: make(map[uint64]*page, f.pageHint)}
+	n := length / PageSize
+	region := &Region{
+		Start: start, Length: length, PID: pid, fd: f,
+		pages:   pagetab.New[*page](n),
+		waiting: make([]uint64, (n+63)/64),
+	}
 	f.regions = append(f.regions, region)
 	return region, nil
 }
 
-// Unregister removes a region (VM shutdown): its pages vanish and pending
-// events for it are dropped, like closing the descriptor side of a dead VM.
+// Unregister removes a region (VM shutdown): its pages and blocked vCPUs
+// vanish and pending events for it are dropped, like closing the descriptor
+// side of a dead VM.
 func (f *FD) Unregister(region *Region) {
 	kept := f.regions[:0]
 	for _, r := range f.regions {
@@ -354,11 +396,11 @@ func (f *FD) Access(now time.Duration, addr uint64, write bool) (data []byte, ev
 		return nil, now, false, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	p := region.lookup(aligned)
+	if p == nil {
 		trap := f.params.FaultTrap.Sample(f.rng)
 		f.pushEvent(Event{Addr: aligned, PID: region.PID, Write: write, Raised: now})
-		f.waiting[aligned] = true
+		region.setWaiting(aligned, true)
 		return nil, now + trap, false, nil
 	}
 	switch p.state {
@@ -410,10 +452,10 @@ func (f *FD) ZeroPage(now time.Duration, addr uint64) (time.Duration, error) {
 		return now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	if _, ok := region.pages[aligned]; ok {
+	if region.lookup(aligned) != nil {
 		return now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
 	}
-	region.pages[aligned] = f.getPage(PageZeroCOW)
+	region.install(aligned, f.getPage(PageZeroCOW))
 	done := now + f.params.ZeroPage.Sample(f.rng)
 	if f.tr != nil {
 		f.tr.Emit(trace.EvUffdZeroPage, f.traceWorker(aligned), aligned, now, done-now, "")
@@ -433,13 +475,13 @@ func (f *FD) Copy(now time.Duration, addr uint64, data []byte) (time.Duration, e
 		return now, fmt.Errorf("uffd: copy of %d bytes, want %d", len(data), PageSize)
 	}
 	aligned := align(addr)
-	if _, ok := region.pages[aligned]; ok {
+	if region.lookup(aligned) != nil {
 		return now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
 	}
 	p := f.getPage(PagePresent)
 	p.data = f.getFrame()
 	copy(p.data, data)
-	region.pages[aligned] = p
+	region.install(aligned, p)
 	done := now + f.params.Copy.Sample(f.rng)
 	if f.tr != nil {
 		f.tr.Emit(trace.EvUffdCopy, f.traceWorker(aligned), aligned, now, done-now, "")
@@ -459,8 +501,8 @@ func (f *FD) SetWriteProtect(now time.Duration, addr uint64) (time.Duration, err
 		return now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	p := region.lookup(aligned)
+	if p == nil {
 		return now, fmt.Errorf("%w: %#x", ErrNotMapped, aligned)
 	}
 	if p.state != PagePresent {
@@ -483,8 +525,8 @@ func (f *FD) PageClean(addr uint64) bool {
 	if region == nil {
 		return false
 	}
-	p, ok := region.pages[align(addr)]
-	return ok && p.state == PagePresent && p.wp
+	p := region.lookup(addr)
+	return p != nil && p.state == PagePresent && p.wp
 }
 
 // WPFaults reports write-protect faults taken since creation.
@@ -503,8 +545,8 @@ func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, ti
 		return nil, now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	p := region.unmap(aligned)
+	if p == nil {
 		return nil, now, fmt.Errorf("%w: %#x", ErrNotMapped, aligned)
 	}
 	data := p.data
@@ -513,7 +555,6 @@ func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, ti
 		data = f.getFrame()
 		copy(data, zeroPage)
 	}
-	delete(region.pages, aligned)
 	p.data = nil // frame ownership moves to the caller
 	f.putPage(p)
 	model := f.params.Remap
@@ -537,12 +578,10 @@ func (f *FD) Drop(addr uint64) bool {
 	if region == nil {
 		return false
 	}
-	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	p := region.unmap(align(addr))
+	if p == nil {
 		return false
 	}
-	delete(region.pages, aligned)
 	f.putPage(p)
 	return true
 }
@@ -550,12 +589,23 @@ func (f *FD) Drop(addr uint64) bool {
 // Wake unblocks the vCPU thread faulted at addr after the monitor resolved
 // the fault.
 func (f *FD) Wake(now time.Duration, addr uint64) time.Duration {
-	delete(f.waiting, align(addr))
+	if region := f.regionFor(addr); region != nil {
+		region.setWaiting(addr, false)
+	}
 	return now + f.params.Wake.Sample(f.rng)
 }
 
-// Waiting reports whether a vCPU is still blocked on addr.
-func (f *FD) Waiting(addr uint64) bool { return f.waiting[align(addr)] }
+// Waiting reports whether a vCPU is still blocked on addr. Addresses outside
+// every registered region never are: a region's blocked vCPUs go with it on
+// Unregister.
+func (f *FD) Waiting(addr uint64) bool {
+	region := f.regionFor(addr)
+	if region == nil {
+		return false
+	}
+	word, bit := region.waitBit(addr)
+	return *word&bit != 0
+}
 
 func (f *FD) regionFor(addr uint64) *Region {
 	for _, r := range f.regions {

@@ -3,8 +3,12 @@ package uffd
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"fluidmem/internal/pagetab"
 )
 
 func newFD(t *testing.T) (*FD, *Region) {
@@ -441,5 +445,263 @@ func TestWriteProtectClearedByRemapAndReinstall(t *testing.T) {
 	}
 	if f.PageClean(addr) {
 		t.Fatal("fresh install reported clean without protection")
+	}
+}
+
+// TestPageTableRegionEdges installs and evicts the first and last page of a
+// region: both ends of the dense table must index their own slot, and the
+// addresses just outside belong to no region.
+func TestPageTableRegionEdges(t *testing.T) {
+	f, r := newFD(t)
+	first, last := r.Start, r.End()-PageSize
+	if _, err := f.Copy(0, first, filled(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Copy(0, last+123, filled(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		addr uint64
+		tag  byte
+	}{{first, 1}, {first + PageSize - 1, 1}, {last, 2}, {r.End() - 1, 2}} {
+		data, _, hit, err := f.Access(0, c.addr, false)
+		if err != nil || !hit || data[0] != c.tag {
+			t.Fatalf("access %#x: hit=%v err=%v tag=%v, want tag %d", c.addr, hit, err, data, c.tag)
+		}
+	}
+	if r.State(first+PageSize) != PageMissing || r.MappedPages() != 2 {
+		t.Fatalf("second page %v, mapped %d", r.State(first+PageSize), r.MappedPages())
+	}
+	for _, out := range []uint64{r.Start - 1, r.End()} {
+		if _, _, _, err := f.Access(0, out, false); !errors.Is(err, ErrNotRegistered) {
+			t.Fatalf("access %#x outside the region: %v", out, err)
+		}
+	}
+	if buf, _, err := f.Remap(0, last, false); err != nil || buf[0] != 2 {
+		t.Fatalf("remap last page: %v", err)
+	}
+	if r.State(last) != PageMissing || r.State(first) != PagePresent || r.MappedPages() != 1 {
+		t.Fatal("remap of the last page disturbed its neighbour")
+	}
+}
+
+// TestPageTableAdjacentRegions registers two back-to-back regions: a page
+// operation on one side of the boundary must never land in the other
+// region's table.
+func TestPageTableAdjacentRegions(t *testing.T) {
+	f := New(DefaultParams(), 1)
+	a, err := f.Register(0x10000, 4*PageSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.Register(a.End(), 4*PageSize, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Copy(0, a.End()-PageSize, filled(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ZeroPage(0, b.Start); err != nil {
+		t.Fatal(err)
+	}
+	if a.State(a.End()-PageSize) != PagePresent || b.State(b.Start) != PageZeroCOW {
+		t.Fatal("boundary pages in the wrong state")
+	}
+	if a.MappedPages() != 1 || b.MappedPages() != 1 {
+		t.Fatalf("mapped a=%d b=%d, want 1 each", a.MappedPages(), b.MappedPages())
+	}
+	if f.RegionFor(b.Start) != b || f.RegionFor(b.Start-1) != a {
+		t.Fatal("RegionFor misattributes the boundary")
+	}
+	if !f.Drop(b.Start) || b.MappedPages() != 0 || a.MappedPages() != 1 {
+		t.Fatal("Drop across the boundary touched the wrong region")
+	}
+}
+
+// TestReRegisterAfterUnregister tears a region down and registers a fresh
+// one at the same base: the new region starts with an empty page table and
+// no blocked vCPUs, and the old handle keeps its own.
+func TestReRegisterAfterUnregister(t *testing.T) {
+	f, r := newFD(t)
+	if _, err := f.Copy(0, r.Start, filled(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := f.Access(0, r.Start+PageSize, false); err != nil {
+		t.Fatal(err)
+	}
+	f.Unregister(r)
+	if f.Waiting(r.Start + PageSize) {
+		t.Fatal("unregistered page still has a blocked vCPU")
+	}
+	r2, err := f.Register(r.Start, r.Length, 99)
+	if err != nil {
+		t.Fatalf("re-register at the same base: %v", err)
+	}
+	if r2.MappedPages() != 0 || r2.State(r.Start) != PageMissing || f.Waiting(r.Start+PageSize) {
+		t.Fatal("re-registered region inherited the old page table")
+	}
+	if r.MappedPages() != 1 {
+		t.Fatalf("old handle lost its count: %d", r.MappedPages())
+	}
+	if _, _, hit, err := f.Access(0, r.Start, false); err != nil || hit {
+		t.Fatalf("access after re-register: hit=%v err=%v, want a fault", hit, err)
+	}
+	if ev, ok := f.NextEvent(); !ok || ev.PID != 99 {
+		t.Fatalf("event %+v, want the new region's PID", ev)
+	}
+}
+
+// TestMappedPagesThroughEveryOperation follows the resident count through
+// every operation that installs or removes a page, and through the ones
+// that change a page's state in place.
+func TestMappedPagesThroughEveryOperation(t *testing.T) {
+	f, r := newFD(t)
+	p0, p1, p2 := r.Start, r.Start+PageSize, r.Start+2*PageSize
+	steps := []struct {
+		name string
+		op   func() error
+		want int
+	}{
+		{"zeropage", func() error { _, err := f.ZeroPage(0, p0); return err }, 1},
+		{"copy", func() error { _, err := f.Copy(0, p1, filled(1)); return err }, 2},
+		{"cow break", func() error { _, _, _, err := f.Access(0, p0, true); return err }, 2},
+		{"duplicate copy", func() error {
+			if _, err := f.Copy(0, p1, filled(2)); !errors.Is(err, ErrAlreadyMapped) {
+				return fmt.Errorf("duplicate copy: %v", err)
+			}
+			return nil
+		}, 2},
+		{"remap", func() error {
+			buf, _, err := f.Remap(0, p0, false)
+			f.Recycle(buf)
+			return err
+		}, 1},
+		{"remap missing", func() error {
+			if _, _, err := f.Remap(0, p2, false); !errors.Is(err, ErrNotMapped) {
+				return fmt.Errorf("remap of a missing page: %v", err)
+			}
+			return nil
+		}, 1},
+		{"zeropage again", func() error { _, err := f.ZeroPage(0, p2); return err }, 2},
+		{"drop", func() error {
+			if !f.Drop(p1) {
+				return errors.New("drop of a present page reported nothing")
+			}
+			return nil
+		}, 1},
+		{"drop missing", func() error {
+			if f.Drop(p1) {
+				return errors.New("drop of a missing page reported a removal")
+			}
+			return nil
+		}, 1},
+		{"drop zero-COW", func() error {
+			if !f.Drop(p2) {
+				return errors.New("drop of a zero-COW page reported nothing")
+			}
+			return nil
+		}, 0},
+	}
+	for _, s := range steps {
+		if err := s.op(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := r.MappedPages(); got != s.want {
+			t.Fatalf("after %s: MappedPages = %d, want %d", s.name, got, s.want)
+		}
+	}
+}
+
+// TestWaitingAcrossRegions blocks vCPUs in two regions and wakes them one
+// at a time; Wake and Waiting on an address outside every region are
+// harmless no-ops.
+func TestWaitingAcrossRegions(t *testing.T) {
+	f := New(DefaultParams(), 1)
+	a, err := f.Register(0x10000, 4*PageSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.Register(0x80000, 4*PageSize, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := a.Start+3*PageSize, b.Start
+	for _, addr := range []uint64{pa, pb + 17} {
+		if _, _, _, err := f.Access(0, addr, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !f.Waiting(pa) || !f.Waiting(pb) || f.Waiting(a.Start) || f.Waiting(b.Start+PageSize) {
+		t.Fatal("blocked set wrong after faults in two regions")
+	}
+	f.Wake(0, pb+100)
+	if !f.Waiting(pa) || f.Waiting(pb) {
+		t.Fatal("waking region b's page changed region a or missed b")
+	}
+	const outside = 0x40000
+	if f.Waiting(outside) {
+		t.Fatal("unregistered address reported blocked")
+	}
+	if done := f.Wake(5, outside); done <= 5 {
+		t.Fatal("Wake on an unregistered address skipped its cost")
+	}
+	f.Wake(0, pa)
+	if f.Waiting(pa) {
+		t.Fatal("vCPU still blocked after Wake")
+	}
+}
+
+// TestStateOutsideRegion asks a region for addresses beyond either end:
+// they are missing, never an out-of-range table index.
+func TestStateOutsideRegion(t *testing.T) {
+	f, r := newFD(t)
+	if _, err := f.Copy(0, r.Start, filled(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []uint64{0, r.Start - 1, r.End(), r.End() + 64*PageSize, ^uint64(0)} {
+		if got := r.State(addr); got != PageMissing {
+			t.Fatalf("State(%#x) = %v outside the region, want missing", addr, got)
+		}
+		if f.PageClean(addr) || f.RegionFor(addr) != nil {
+			t.Fatalf("address %#x outside every region resolved", addr)
+		}
+	}
+}
+
+// TestPageTableChunkBoundaries installs and removes pages on both sides of
+// each page-table chunk boundary and in the region's partial last chunk:
+// every operation must land in its own slot, whichever chunk holds it.
+func TestPageTableChunkBoundaries(t *testing.T) {
+	f := New(DefaultParams(), 1)
+	const pages = 2*pagetab.ChunkPages + 1
+	r, err := f.Register(0x200000, pages*PageSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := []uint64{pagetab.ChunkPages - 1, pagetab.ChunkPages, 2*pagetab.ChunkPages - 1, 2 * pagetab.ChunkPages}
+	for i, pg := range edges {
+		if _, err := f.Copy(0, r.Start+pg*PageSize, filled(byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.MappedPages() != len(edges) {
+		t.Fatalf("mapped %d, want %d", r.MappedPages(), len(edges))
+	}
+	for i, pg := range edges {
+		data, _, hit, err := f.Access(0, r.Start+pg*PageSize, false)
+		if err != nil || !hit || data[0] != byte(i+1) {
+			t.Fatalf("page %d: hit=%v err=%v, want tag %d", pg, hit, err, i+1)
+		}
+		for _, nb := range []uint64{pg - 1, pg + 1} {
+			if nb < pages && !slices.Contains(edges, nb) && r.State(r.Start+nb*PageSize) != PageMissing {
+				t.Fatalf("page %d mapped by an operation on page %d", nb, pg)
+			}
+		}
+	}
+	if !f.Drop(r.Start + pagetab.ChunkPages*PageSize) {
+		t.Fatal("drop of the first page of the second chunk failed")
+	}
+	if r.State(r.Start+(pagetab.ChunkPages-1)*PageSize) != PagePresent || r.MappedPages() != len(edges)-1 {
+		t.Fatal("dropping across a chunk boundary disturbed its neighbour")
 	}
 }
